@@ -450,14 +450,14 @@ mod tests {
         );
     }
 
-    /// The controller drives the runtime identically whichever ingest
-    /// path the config selects: the same hog scenario produces the same
-    /// action stream and the same event accounting under direct
-    /// per-event ingestion, sharded batch-drained ingestion, and the
-    /// lock-free epoch-drained default.
+    /// The controller's view of the ingest contract: the same hog
+    /// scenario produces the same action stream and the same event
+    /// accounting whether trace events wait in the rings for the next
+    /// drain point or are applied before the next call returns (a
+    /// `DrainEveryEmit` layer under the controller).
     #[test]
-    fn ingest_modes_produce_identical_action_streams() {
-        let drive = |mode: atropos::IngestMode| {
+    fn deferred_ingest_and_per_event_application_produce_identical_action_streams() {
+        let drive = |drain_every_emit: bool| {
             let clock = Arc::new(VirtualClock::new());
             let groups = vec![ResourceGroupDef {
                 name: "lock".into(),
@@ -466,8 +466,14 @@ mod tests {
             }];
             let mut cfg = AtroposConfig::default().with_slo_ns(10_000_000);
             cfg.cancel_min_interval_ns = 0;
-            cfg.ingest_mode = mode;
-            let mut c = AtroposController::new(cfg, clock.clone(), &groups, true);
+            let mut c =
+                AtroposController::new_with_middleware(cfg, clock.clone(), &groups, true, |port| {
+                    if drain_every_emit {
+                        Arc::new(atropos_substrate::DrainEveryEmit(port))
+                    } else {
+                        port
+                    }
+                });
             let view = ServerView {
                 now: SimTime::ZERO,
                 requests: vec![],
@@ -518,12 +524,9 @@ mod tests {
             let stats = c.runtime().stats();
             (all_actions, stats.trace_events, stats.ignored_events)
         };
-        let direct = drive(atropos::IngestMode::Direct);
-        let sharded = drive(atropos::IngestMode::Sharded);
-        let lockfree = drive(atropos::IngestMode::LockFree);
-        assert_eq!(direct, sharded);
-        assert_eq!(direct, lockfree);
-        assert!(direct.0.contains(&Action::Cancel(RequestId(99))));
+        let per_event = drive(true);
+        assert_eq!(per_event, drive(false));
+        assert!(per_event.0.contains(&Action::Cancel(RequestId(99))));
     }
 
     /// A middleware stack between the controller and the runtime sees the

@@ -11,21 +11,18 @@
 
 use std::sync::Arc;
 
+use atropos::lockfree::LockFreeIngest;
 use atropos::record::{CancelOrigin, DecisionEvent, Recorder};
-use atropos::trace::{PushOutcome, ShardedIngest};
-use atropos::{AtroposConfig, AtroposRuntime, IngestMode, ResourceType};
+use atropos::trace::PushOutcome;
+use atropos::{AtroposConfig, AtroposRuntime, ResourceType};
 use atropos_obs::{FlightRecorder, MetricsRegistry, Observer};
 use atropos_sim::{Clock, SystemClock};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-fn runtime(mode: IngestMode) -> Arc<AtroposRuntime> {
+fn runtime() -> Arc<AtroposRuntime> {
     let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
-    let cfg = AtroposConfig {
-        ingest_mode: mode,
-        ..AtroposConfig::default()
-    };
-    Arc::new(AtroposRuntime::new(cfg, clock))
+    Arc::new(AtroposRuntime::new(AtroposConfig::default(), clock))
 }
 
 fn sample_event() -> DecisionEvent {
@@ -37,16 +34,16 @@ fn sample_event() -> DecisionEvent {
     }
 }
 
-/// The PR 1 emit path, re-measured with recorder support compiled in: a
-/// stripe-local push and the direct-mode apply, neither touching the
-/// recorder. These are the numbers the overhead guard test compares
+/// The emit path, re-measured with recorder support compiled in: a
+/// ring push and the full `get_resource` call, neither touching the
+/// recorder. The push is the number the overhead guard test compares
 /// against `BENCH_trace.json`.
 fn bench_emit_path_with_recorder_support(c: &mut Criterion) {
     let mut g = c.benchmark_group("recorder_emit");
-    let ing = ShardedIngest::new(8, 1 << 14);
+    let ing = LockFreeIngest::new(8, 1 << 14);
     let task = atropos::TaskId(1);
     let rid = atropos::ResourceId(0);
-    g.bench_function("sharded_push/no_recorder", |b| {
+    g.bench_function("lockfree_push/no_recorder", |b| {
         b.iter(|| {
             match ing.push(
                 black_box(task),
@@ -63,14 +60,14 @@ fn bench_emit_path_with_recorder_support(c: &mut Criterion) {
         })
     });
     for (name, install) in [("no_recorder", false), ("with_recorder", true)] {
-        let rt = runtime(IngestMode::Direct);
+        let rt = runtime();
         let rid = rt.register_resource("bench", ResourceType::Memory);
         let task = rt.create_cancel(Some(1));
         rt.unit_started(task);
         if install {
             let _obs = Observer::install(&rt, 4096);
         }
-        g.bench_function(format!("direct_apply/{name}"), |b| {
+        g.bench_function(format!("get_resource/{name}"), |b| {
             b.iter(|| rt.get_resource(black_box(task), black_box(rid), 1))
         });
     }
@@ -110,7 +107,7 @@ fn bench_enabled_record(c: &mut Criterion) {
 fn bench_lifecycle(c: &mut Criterion) {
     let mut g = c.benchmark_group("recorder_lifecycle");
     for (name, install) in [("no_recorder", false), ("with_recorder", true)] {
-        let rt = runtime(IngestMode::Direct);
+        let rt = runtime();
         rt.register_resource("bench", ResourceType::Memory);
         if install {
             let _obs = Observer::install(&rt, 4096);

@@ -8,24 +8,20 @@
 use std::sync::Arc;
 
 use atropos::lockfree::LockFreeIngest;
-use atropos::trace::{PushOutcome, ShardedIngest};
-use atropos::{AtroposConfig, AtroposRuntime, IngestMode, ResourceType, TimestampMode};
+use atropos::trace::PushOutcome;
+use atropos::{AtroposConfig, AtroposRuntime, ResourceType, TimestampMode};
 use atropos_bench::scaling;
 use atropos_sim::{Clock, SystemClock};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-fn runtime_with(mode: IngestMode) -> Arc<AtroposRuntime> {
+fn new_runtime() -> Arc<AtroposRuntime> {
     let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
-    let cfg = AtroposConfig {
-        ingest_mode: mode,
-        ..AtroposConfig::default()
-    };
-    Arc::new(AtroposRuntime::new(cfg, clock))
+    Arc::new(AtroposRuntime::new(AtroposConfig::default(), clock))
 }
 
 fn runtime() -> (Arc<AtroposRuntime>, atropos::TaskId, atropos::ResourceId) {
-    let rt = runtime_with(IngestMode::Direct);
+    let rt = new_runtime();
     let rid = rt.register_resource("bench", ResourceType::Memory);
     let task = rt.create_cancel(Some(1));
     rt.unit_started(task);
@@ -68,13 +64,10 @@ fn bench_tracing(c: &mut Criterion) {
 }
 
 /// Full ingest cycle under producer contention: `threads` producers each
-/// emit `events` tracing calls on their own task. In `Direct` mode every
-/// call takes the runtime's global lock and lands in the accounting
-/// inline; in `Sharded` mode calls append to stripe-locked buffers, and
-/// in `LockFree` mode to wait-free per-producer rings; for both buffered
-/// modes the periodic replay (here the mid-window flush whenever a lane
-/// fills) is paid inside the measured interval, so the comparison
-/// includes the drain work, not just the cheap append.
+/// emit `events` tracing calls on their own task, appending to wait-free
+/// per-producer rings; the periodic replay (here the mid-window flush
+/// whenever a lane fills) is paid inside the measured interval, so the
+/// figure includes the drain work, not just the cheap append.
 fn contended_emit(rt: &Arc<AtroposRuntime>, threads: u64, events: u64) {
     std::thread::scope(|s| {
         for p in 0..threads {
@@ -99,64 +92,34 @@ fn bench_contended_ingest(c: &mut Criterion) {
     const EVENTS: u64 = 4_096;
     let mut g = c.benchmark_group("contended_ingest");
     g.sample_size(30);
-    for (mode, mode_name) in [
-        (IngestMode::Direct, "direct"),
-        (IngestMode::Sharded, "sharded"),
-        (IngestMode::LockFree, "lockfree"),
+    for (ts, ts_name) in [
+        (TimestampMode::Sampled, "sampled"),
+        (TimestampMode::Precise, "precise"),
     ] {
-        for (ts, ts_name) in [
-            (TimestampMode::Sampled, "sampled"),
-            (TimestampMode::Precise, "precise"),
-        ] {
-            for threads in [1u64, 4, 8] {
-                let rt = runtime_with(mode);
-                rt.register_resource("bench", ResourceType::Memory);
-                rt.set_timestamp_mode(ts);
-                g.throughput(Throughput::Elements(threads * EVENTS));
-                g.bench_with_input(
-                    BenchmarkId::new(
-                        format!("{mode_name}/{ts_name}"),
-                        format!("{threads}threads"),
-                    ),
-                    &threads,
-                    |b, &threads| b.iter(|| contended_emit(&rt, threads, EVENTS)),
-                );
-                // Settle any buffered remainder so runs stay independent.
-                rt.stats();
-            }
+        for threads in [1u64, 4, 8] {
+            let rt = new_runtime();
+            rt.register_resource("bench", ResourceType::Memory);
+            rt.set_timestamp_mode(ts);
+            g.throughput(Throughput::Elements(threads * EVENTS));
+            g.bench_with_input(
+                BenchmarkId::new(format!("lockfree/{ts_name}"), format!("{threads}threads")),
+                &threads,
+                |b, &threads| b.iter(|| contended_emit(&rt, threads, EVENTS)),
+            );
+            // Settle any buffered remainder so runs stay independent.
+            rt.stats();
         }
     }
     g.finish();
 }
 
-/// The isolated hot-path cost the tentpole optimizes: a stripe-locked
-/// bounded append (`ShardedIngest::push`) vs a wait-free seqlock-cell
-/// claim (`LockFreeIngest::push`) vs the direct path's
-/// global-lock-plus-inline-accounting, measured per event without any
-/// drain in the loop.
+/// The isolated hot-path cost: a wait-free seqlock-cell claim
+/// (`LockFreeIngest::push`), measured per event without any drain in the
+/// loop.
 fn bench_emit_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("ingest_emit");
-    let ing = ShardedIngest::new(8, 1 << 14);
     let task = atropos::TaskId(1);
     let rid = atropos::ResourceId(0);
-    g.bench_function("sharded_push", |b| {
-        b.iter(|| {
-            match ing.push(
-                black_box(task),
-                black_box(rid),
-                1,
-                atropos::trace::EventKind::Get,
-                0,
-            ) {
-                PushOutcome::Buffered => {}
-                PushOutcome::Full(_) => {
-                    // Keep the buffer from saturating without an Inner to
-                    // drain into: empty the stripes and continue.
-                    let _ = ing.drain();
-                }
-            }
-        })
-    });
     let lf = LockFreeIngest::new(8, 1 << 14);
     g.bench_function("lockfree_push", |b| {
         b.iter(|| {
@@ -169,20 +132,18 @@ fn bench_emit_path(c: &mut Criterion) {
             ) {
                 PushOutcome::Buffered => {}
                 PushOutcome::Full(_) => {
+                    // Keep the rings from saturating without an Inner to
+                    // drain into: empty them and continue.
                     let _ = lf.drain();
                 }
             }
         })
     });
-    let (rt, task, rid) = runtime();
-    g.bench_function("direct_apply", |b| {
-        b.iter(|| rt.get_resource(black_box(task), black_box(rid), 1))
-    });
     g.finish();
 }
 
 /// Multi-core emit-phase scaling: N persistent producers burst into the
-/// buffered sinks while a background drainer plays the tick side, and
+/// buffered sink while a background drainer plays the tick side, and
 /// only the emit phase is timed (see `atropos_bench::scaling`). On a
 /// single-core runner these curves are degenerate — the snapshot script
 /// records the detected core count next to them, and the efficiency
@@ -191,23 +152,21 @@ fn bench_emit_path(c: &mut Criterion) {
 fn bench_emit_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("emit_scaling");
     g.sample_size(20);
-    for mode in ["sharded", "lockfree"] {
-        for producers in [1u64, 2, 4, 8] {
-            let sink = scaling::sink_for(mode);
-            let _drainer = scaling::BackgroundDrainer::start(sink.clone());
-            let team = scaling::ProducerTeam::new(producers, sink);
-            g.throughput(Throughput::Elements(producers * scaling::BURST));
-            g.bench_with_input(
-                BenchmarkId::new(mode, format!("{producers}producers")),
-                &producers,
-                |b, _| b.iter(|| team.burst()),
-            );
-        }
+    for producers in [1u64, 2, 4, 8] {
+        let sink = scaling::new_sink();
+        let _drainer = scaling::BackgroundDrainer::start(sink.clone());
+        let team = scaling::ProducerTeam::new(producers, sink);
+        g.throughput(Throughput::Elements(producers * scaling::BURST));
+        g.bench_with_input(
+            BenchmarkId::new("lockfree", format!("{producers}producers")),
+            &producers,
+            |b, _| b.iter(|| team.burst()),
+        );
     }
     g.finish();
 }
 
-/// Cost of the tick-side replay: emit a batch into the stripes, then
+/// Cost of the tick-side replay: emit a batch into the rings, then
 /// drain it through `stats()`. Per-event drain latency is this figure
 /// divided by the batch size, minus the push cost measured above.
 fn bench_tick_drain(c: &mut Criterion) {
@@ -215,7 +174,7 @@ fn bench_tick_drain(c: &mut Criterion) {
     let mut g = c.benchmark_group("tick_drain");
     g.sample_size(50);
     g.throughput(Throughput::Elements(BATCH));
-    let rt = runtime_with(IngestMode::Sharded);
+    let rt = new_runtime();
     let rid = rt.register_resource("bench", ResourceType::Memory);
     let task = rt.create_cancel(Some(1));
     g.bench_function("emit_and_drain_1024", |b| {

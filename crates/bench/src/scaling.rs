@@ -11,7 +11,7 @@
 //! drain work is never inside the timed region's critical path the way a
 //! serial post-burst drain would be.
 //!
-//! Producer `p` emits on `TaskId(p)`, so up to the queue/stripe count
+//! Producer `p` emits on `TaskId(p)`, so up to the queue count
 //! producers land on distinct lanes (the same task→lane mask the runtime
 //! uses) and the measurement reflects the per-producer independence the
 //! lock-free path is designed for.
@@ -21,47 +21,17 @@ use std::sync::{Arc, Barrier};
 
 use atropos::ids::{ResourceId, TaskId};
 use atropos::lockfree::LockFreeIngest;
-use atropos::trace::{EventKind, PushOutcome, ShardedIngest};
+use atropos::trace::{EventKind, PushOutcome};
 
 /// Records each producer emits per measured burst. Large enough that
 /// the two barrier crossings per burst are noise against the push work.
 pub const BURST: u64 = 32_768;
 
-/// The emit-path sinks the harness can drive, so the bench and the
-/// guard enumerate modes over one type.
-#[derive(Clone)]
-pub enum EmitSink {
-    /// Stripe-locked buffered ingest (the previous default).
-    Sharded(Arc<ShardedIngest>),
-    /// Lock-free per-producer ingest (the current default).
-    LockFree(Arc<LockFreeIngest>),
-}
-
-impl EmitSink {
-    /// Emits one record for producer `p`; sheds (never blocks or spins
-    /// on the consumer) if the sink is full.
-    fn emit(&self, p: u64, i: u64) {
-        let task = TaskId(p);
-        let rid = ResourceId(0);
-        match self {
-            EmitSink::Sharded(ing) => {
-                if let PushOutcome::Full(r) = ing.push(task, rid, 1, EventKind::Get, i) {
-                    ing.force_push(r);
-                }
-            }
-            EmitSink::LockFree(ing) => {
-                if let PushOutcome::Full(r) = ing.push(task, rid, 1, EventKind::Get, i) {
-                    ing.force_push(r);
-                }
-            }
-        }
-    }
-
-    fn drain_len(&self) -> usize {
-        match self {
-            EmitSink::Sharded(ing) => ing.drain().len(),
-            EmitSink::LockFree(ing) => ing.drain().len(),
-        }
+/// Emits one record for producer `p`; sheds (never blocks or spins on
+/// the consumer) if the sink is full.
+fn emit(sink: &LockFreeIngest, p: u64, i: u64) {
+    if let PushOutcome::Full(r) = sink.push(TaskId(p), ResourceId(0), 1, EventKind::Get, i) {
+        sink.force_push(r);
     }
 }
 
@@ -79,7 +49,7 @@ pub struct ProducerTeam {
 
 impl ProducerTeam {
     /// Spawns `producers` threads emitting into `sink`.
-    pub fn new(producers: u64, sink: EmitSink) -> Self {
+    pub fn new(producers: u64, sink: Arc<LockFreeIngest>) -> Self {
         let go = Arc::new(Barrier::new(producers as usize + 1));
         let done = Arc::new(Barrier::new(producers as usize + 1));
         let stop = Arc::new(AtomicBool::new(false));
@@ -95,7 +65,7 @@ impl ProducerTeam {
                         break;
                     }
                     for i in 1..=BURST {
-                        sink.emit(p, i);
+                        emit(&sink, p, i);
                     }
                     done.wait();
                 })
@@ -138,19 +108,19 @@ pub struct BackgroundDrainer {
 
 impl BackgroundDrainer {
     /// Starts draining `sink` until dropped.
-    pub fn start(sink: EmitSink) -> Self {
+    pub fn start(sink: Arc<LockFreeIngest>) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let handle = {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Acquire) {
-                    if sink.drain_len() == 0 {
+                    if sink.drain().is_empty() {
                         std::thread::yield_now();
                     }
                 }
                 // One last sweep so nothing is left pending for the next
                 // measurement against the same sink.
-                sink.drain_len();
+                sink.drain();
             })
         };
         Self {
@@ -172,12 +142,8 @@ impl Drop for BackgroundDrainer {
 /// Builds the sink geometry both the bench and the guard use: 8 lanes
 /// (so every producer count up to 8 gets its own lane) sized deep enough
 /// that a burst rarely sheds while the drainer keeps up.
-pub fn sink_for(mode: &str) -> EmitSink {
-    match mode {
-        "sharded" => EmitSink::Sharded(Arc::new(ShardedIngest::new(8, 1 << 13))),
-        "lockfree" => EmitSink::LockFree(Arc::new(LockFreeIngest::new(8, 1 << 13))),
-        other => panic!("unknown emit sink mode {other:?}"),
-    }
+pub fn new_sink() -> Arc<LockFreeIngest> {
+    Arc::new(LockFreeIngest::new(8, 1 << 13))
 }
 
 #[cfg(test)]
@@ -188,23 +154,17 @@ mod tests {
     fn team_bursts_conserve_records() {
         // No drainer here, so the burst overruns the lanes and sheds;
         // conservation (drained + shed == emitted) must still hold.
-        for mode in ["sharded", "lockfree"] {
-            let sink = sink_for(mode);
-            let team = ProducerTeam::new(2, sink.clone());
-            team.burst();
-            drop(team);
-            let drained = sink.drain_len() as u64;
-            let shed = match &sink {
-                EmitSink::Sharded(ing) => ing.take_overflow_dropped(),
-                EmitSink::LockFree(ing) => ing.take_overflow_dropped(),
-            };
-            assert_eq!(drained + shed, 2 * BURST, "{mode}");
-        }
+        let sink = new_sink();
+        let team = ProducerTeam::new(2, sink.clone());
+        team.burst();
+        drop(team);
+        let drained = sink.drain().len() as u64;
+        assert_eq!(drained + sink.take_overflow_dropped(), 2 * BURST);
     }
 
     #[test]
     fn background_drainer_keeps_up_and_stops() {
-        let sink = sink_for("lockfree");
+        let sink = new_sink();
         let drainer = BackgroundDrainer::start(sink.clone());
         let team = ProducerTeam::new(2, sink.clone());
         for _ in 0..3 {
@@ -212,9 +172,6 @@ mod tests {
         }
         drop(team);
         drop(drainer);
-        let EmitSink::LockFree(ing) = &sink else {
-            unreachable!()
-        };
-        assert_eq!(ing.pending(), 0, "final sweep left records behind");
+        assert_eq!(sink.pending(), 0, "final sweep left records behind");
     }
 }

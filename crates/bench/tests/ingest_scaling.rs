@@ -1,6 +1,6 @@
-//! Emit-path scaling-efficiency guard for the lock-free ingest default.
+//! Emit-path scaling-efficiency guard for the lock-free ingest path.
 //!
-//! The tentpole's whole point is that N producers emitting concurrently
+//! The design's whole point is that N producers emitting concurrently
 //! get close to N× one producer's throughput: the push path is a
 //! wait-free append to a per-producer ring, so producers on distinct
 //! cores never serialize against each other (only against their own
@@ -28,7 +28,7 @@
 
 use std::time::{Duration, Instant};
 
-use atropos_bench::scaling::{sink_for, BackgroundDrainer, ProducerTeam, BURST};
+use atropos_bench::scaling::{new_sink, BackgroundDrainer, ProducerTeam, BURST};
 
 /// Minimum parallel efficiency in optimized builds: eps(N) ≥ 0.7·N·eps(1).
 const MIN_EFFICIENCY: f64 = 0.7;
@@ -60,11 +60,11 @@ fn best_burst_ns(team: &ProducerTeam) -> f64 {
 fn lockfree_efficiency(n: u64) -> f64 {
     // Separate sinks so the single-producer baseline never shares lanes
     // or a drainer with the contended run.
-    let base_sink = sink_for("lockfree");
+    let base_sink = new_sink();
     let _base_drain = BackgroundDrainer::start(base_sink.clone());
     let base_team = ProducerTeam::new(1, base_sink);
 
-    let sink = sink_for("lockfree");
+    let sink = new_sink();
     let _drain = BackgroundDrainer::start(sink.clone());
     let team = ProducerTeam::new(n, sink);
 

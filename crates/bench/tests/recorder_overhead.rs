@@ -1,18 +1,19 @@
 //! Recorder overhead guard: the observability layer must be free when
 //! disabled and non-blocking when enabled.
 //!
-//! The disabled guard re-measures the PR 1 emit path (`ShardedIngest::
-//! push`, the producer-visible hot-path cost recorded in
-//! `BENCH_trace.json`) with the recorder hooks compiled in and no
-//! recorder attached, and holds it to within 2% of the checked-in
-//! baseline. The threshold only binds in optimized builds — a debug
+//! The disabled guard re-measures the emit path (`LockFreeIngest::push`,
+//! the producer-visible hot-path cost recorded in `BENCH_trace.json` as
+//! `emit_path_ns_per_event.lockfree_push`) with the recorder hooks
+//! compiled in and no recorder attached, and holds it to within 2% of
+//! the checked-in baseline. The threshold only binds in optimized builds — a debug
 //! build measures the compiler, not the design — but the measurement
 //! always runs so the path is exercised either way.
 
 use std::sync::Arc;
 
+use atropos::lockfree::LockFreeIngest;
 use atropos::record::{CancelOrigin, DecisionEvent};
-use atropos::trace::{PushOutcome, ShardedIngest};
+use atropos::trace::PushOutcome;
 use atropos_obs::FlightRecorder;
 
 /// Allowed regression over the checked-in baseline in optimized builds.
@@ -63,9 +64,9 @@ fn disabled_recorder_keeps_the_emit_path_within_two_percent_of_baseline() {
         "/../../BENCH_trace.json"
     ))
     .expect("BENCH_trace.json at repo root");
-    let base = baseline_ns(&json, "sharded_push");
+    let base = baseline_ns(&json, "lockfree_push");
 
-    let ing = ShardedIngest::new(8, 1 << 14);
+    let ing = LockFreeIngest::new(8, 1 << 14);
     let task = atropos::TaskId(1);
     let rid = atropos::ResourceId(0);
     let measured = min_ns_per_iter(ATTEMPTS, BUDGET_MS, || {

@@ -18,8 +18,9 @@
 
 use std::sync::Arc;
 
-use atropos::{AtroposConfig, AtroposRuntime, IngestMode, ResourceType, TaskId};
+use atropos::{AtroposConfig, AtroposRuntime, ResourceType, TaskId};
 use atropos_sim::{Clock, SimRng, SimTime, VirtualClock};
+use atropos_substrate::{DrainEveryEmit, RuntimePort};
 use parking_lot::Mutex;
 
 use crate::checker::{check_episode_coverage, InvariantChecker, Violation};
@@ -80,25 +81,22 @@ struct Victim {
 /// Runs one scripted scenario under `plan` and checks every invariant
 /// after every tick. `load_scale` multiplies the arrival rate (used by
 /// the detector-monotonicity check); 1 is the base load.
-///
-/// Buffered ingest (`Sharded`) is the scenarios' default so replay and
-/// the mid-window-flush path stay exercised; `run_scenario_with_ingest`
-/// exposes the mode for the cross-mode equivalence corpus.
 pub fn run_scenario(kind: ScenarioKind, plan: &FaultPlan, load_scale: u64) -> ScenarioOutcome {
-    run_scenario_with_ingest(kind, plan, load_scale, IngestMode::Sharded)
+    run_scenario_with_ingest(kind, plan, load_scale, false)
 }
 
-/// [`run_scenario`] with the trace-ingest mode chosen by the caller.
-/// The script, clock, seeds and fault plan are otherwise identical, so
-/// any observable difference between two modes on the same inputs is an
-/// ingest bug — the cross-mode differential in `tests/ingest_modes.rs`
-/// runs the corpus through all three modes and demands bit-identical
-/// outcomes.
+/// [`run_scenario`] with the ingest reference selectable: with
+/// `drain_every_emit` a [`DrainEveryEmit`] layer sits between the
+/// injector and the runtime, so every delivered event is applied before
+/// the next call returns. The script, clock, seeds and fault plan are
+/// otherwise identical, so any observable difference between the two is
+/// an ingest bug — the differential in `tests/ingest_reference.rs` runs
+/// the corpus both ways and demands bit-identical outcomes.
 pub fn run_scenario_with_ingest(
     kind: ScenarioKind,
     plan: &FaultPlan,
     load_scale: u64,
-    ingest: IngestMode,
+    drain_every_emit: bool,
 ) -> ScenarioOutcome {
     let load = load_scale.max(1);
     let clock = Arc::new(VirtualClock::new());
@@ -106,10 +104,14 @@ pub fn run_scenario_with_ingest(
     cfg.detector.window_ns = WINDOW_NS;
     cfg.detector.slo_latency_ns = 10 * MS;
     cfg.cancel_min_interval_ns = 0;
-    cfg.ingest_mode = ingest;
     let rt = Arc::new(AtroposRuntime::new(cfg, clock.clone() as Arc<dyn Clock>));
     let obs = atropos_obs::Observer::install(&rt, 32 * 1024);
-    let inj = FaultInjector::new(rt.clone(), plan);
+    let port: Arc<dyn RuntimePort> = if drain_every_emit {
+        Arc::new(DrainEveryEmit(rt.clone()))
+    } else {
+        rt.clone()
+    };
+    let inj = FaultInjector::over(port, plan);
     let delivered: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     {
         let d = delivered.clone();

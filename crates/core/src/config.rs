@@ -16,56 +16,6 @@ pub enum PolicyKind {
     CurrentUsage,
 }
 
-/// How the tick path evaluates the cancellation policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PolicyEngine {
-    /// Incremental indexed engine: per-task objective terms are cached in
-    /// a [`PolicyIndex`](crate::policy::PolicyIndex) updated from ingest
-    /// deltas, candidates are pruned through per-resource postings lists,
-    /// and the non-dominated filter runs as a sort-based skyline.
-    /// Decisions are bit-identical to [`PolicyEngine::Naive`] (enforced by
-    /// the differential suites); per-tick cost scales with busy tasks
-    /// rather than the registered population.
-    Indexed,
-    /// Reference engine: rebuild the full
-    /// [`EstimatorSnapshot`](crate::estimator::EstimatorSnapshot) from
-    /// every task and run the literal Algorithm-1 transcription (all-pairs
-    /// non-dominated filter). O(n·R + n²) per decision; kept as the
-    /// differential-testing oracle.
-    Naive,
-}
-
-/// How tracing calls reach the per-task accounting state (§3.2 hot path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum IngestMode {
-    /// Every tracing call takes the runtime's global lock and updates the
-    /// accounting state inline. Simple; the baseline the sharded path is
-    /// benchmarked and equivalence-tested against.
-    Direct,
-    /// Tracing calls append a compact record to one of
-    /// [`AtroposConfig::ingest_stripes`] bounded, stripe-locked buffers;
-    /// the records are replayed into the accounting state at the next
-    /// drain point (`tick`, `stats`, `free_cancel`, `register_resource`),
-    /// stripe by stripe, preserving per-task emit order. Under the
-    /// single-threaded virtual clock this is bit-identical to `Direct`;
-    /// under concurrent producers it removes the global lock from the
-    /// request path. Kept as the oracle the lock-free path is
-    /// differential-tested against.
-    Sharded,
-    /// The production default: the same task-sharded buffering contract
-    /// as `Sharded`, but each shard is a bounded lock-free ring
-    /// ([`LockFreeIngest`](crate::lockfree::LockFreeIngest)) — producers
-    /// claim a slot with one CAS and publish with a release store, no
-    /// lock, no allocation — and the drain is epoch-based: the tick-time
-    /// drainer snapshots every queue's claim cursor and harvests exactly
-    /// the records claimed before the boundary, so a drain is bounded
-    /// work even under live producers. Single-threaded replay is
-    /// bit-identical to both `Sharded` and `Direct` (same stamps, same
-    /// per-task order, same overflow accounting); see DESIGN.md §16 for
-    /// the memory-ordering argument.
-    LockFree,
-}
-
 /// Overload-detector parameters (§3.3).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DetectorConfig {
@@ -112,8 +62,6 @@ pub struct AtroposConfig {
     pub detector: DetectorConfig,
     /// Cancellation policy.
     pub policy: PolicyKind,
-    /// How the tick path evaluates that policy (see [`PolicyEngine`]).
-    pub policy_engine: PolicyEngine,
     /// Minimum interval between consecutive cancellations (ns). The paper
     /// (§5.3) enforces "a small time interval between consecutive
     /// cancellations" to avoid excessive termination; this is the
@@ -123,17 +71,13 @@ pub struct AtroposConfig {
     /// within one interval share a timestamp; under overload the runtime
     /// switches to precise per-event timestamps.
     pub sample_interval_ns: u64,
-    /// How tracing calls reach the accounting state (see [`IngestMode`]).
-    pub ingest_mode: IngestMode,
-    /// Number of ingest buffer stripes in the buffered modes
-    /// ([`IngestMode::Sharded`] locked buffers, [`IngestMode::LockFree`]
-    /// rings; rounded up to a power of two). More stripes reduce
-    /// producer contention; the drain replays them all.
+    /// Number of task-sharded ingest rings
+    /// ([`LockFreeIngest`](crate::lockfree::LockFreeIngest); rounded up
+    /// to a power of two). More rings reduce producer contention; the
+    /// drain replays them all.
     pub ingest_stripes: usize,
-    /// Per-stripe record capacity in the buffered modes. A full stripe
-    /// triggers a mid-window flush, or sheds a record if the runtime
-    /// state is busy (`Sharded` sheds the stripe's oldest record,
-    /// `LockFree` the incoming one; both are counted identically).
+    /// Per-ring record capacity. A full ring triggers a mid-window
+    /// flush, or sheds the incoming record if the runtime state is busy.
     pub ingest_stripe_capacity: usize,
     /// Number of consecutive overload-free windows after which canceled
     /// tasks are re-executed ("sustained resource availability", §4).
@@ -160,10 +104,8 @@ impl Default for AtroposConfig {
         Self {
             detector: DetectorConfig::default(),
             policy: PolicyKind::MultiObjective,
-            policy_engine: PolicyEngine::Indexed,
             cancel_min_interval_ns: 50_000_000, // 50 ms
             sample_interval_ns: 1_000_000,      // 1 ms
-            ingest_mode: IngestMode::LockFree,
             ingest_stripes: 8,
             ingest_stripe_capacity: 4096,
             reexec_quiet_windows: 100, // 1 s of sustained availability
@@ -186,12 +128,6 @@ impl AtroposConfig {
     /// Sets the cancellation policy.
     pub fn with_policy(mut self, policy: PolicyKind) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets the policy evaluation engine.
-    pub fn with_policy_engine(mut self, engine: PolicyEngine) -> Self {
-        self.policy_engine = engine;
         self
     }
 
@@ -237,18 +173,9 @@ mod tests {
     fn builders_apply() {
         let c = AtroposConfig::default()
             .with_slo_ns(123)
-            .with_policy(PolicyKind::Heuristic)
-            .with_policy_engine(PolicyEngine::Naive);
+            .with_policy(PolicyKind::Heuristic);
         assert_eq!(c.detector.slo_latency_ns, 123);
         assert_eq!(c.policy, PolicyKind::Heuristic);
-        assert_eq!(c.policy_engine, PolicyEngine::Naive);
-        // The indexed engine is the production default.
-        assert_eq!(
-            AtroposConfig::default().policy_engine,
-            PolicyEngine::Indexed
-        );
-        // So is the lock-free emit path.
-        assert_eq!(AtroposConfig::default().ingest_mode, IngestMode::LockFree);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! ([`derive_task_terms`]) and a global-sum reduction
 //! ([`resource_snapshots_from_sums`]) so the incremental
 //! [`PolicyIndex`](crate::policy::PolicyIndex) can maintain exactly the
-//! same quantities task-by-task instead of rebuilding the snapshot; both
-//! engines share these helpers, which is what makes their outputs
-//! bit-identical.
+//! same quantities task-by-task instead of rebuilding the snapshot; the
+//! index and the batch [`estimate`] share these helpers, which is what
+//! makes their outputs bit-identical.
 
 use crate::accounting::WindowUsage;
 use crate::config::AtroposConfig;
@@ -60,7 +60,7 @@ pub struct ResourceSnapshot {
 }
 
 /// Per-task gains for one window.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskGainSnapshot {
     /// Task id.
     pub task: TaskId,
@@ -79,7 +79,7 @@ pub struct TaskGainSnapshot {
 }
 
 /// Output of one estimation pass.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EstimatorSnapshot {
     /// Per-resource contention, indexed by `ResourceId::index()`.
     pub resources: Vec<ResourceSnapshot>,
@@ -111,7 +111,7 @@ impl EstimatorSnapshot {
 /// per resource (feeding the global contention sums) and its un-normalized
 /// gain terms. This is the unit the [`PolicyIndex`](crate::policy::PolicyIndex)
 /// caches per slot and the naive pass derives on the fly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct TaskTerms {
     /// Application key.
     pub key: TaskKey,
@@ -159,25 +159,34 @@ impl TaskTerms {
     }
 }
 
-/// Derives one task's [`TaskTerms`] from its most recently closed window.
-/// This is the only place gain terms are computed; the batch
+/// Derives one task's [`TaskTerms`] from its most recently closed window
+/// into `out`, reusing its buffers (the index re-derives every busy task
+/// on every candidate tick). This is the only place gain terms are computed; the batch
 /// [`estimate`] and the incremental index both call it, so the two
-/// engines cannot diverge on per-task arithmetic.
+/// cannot diverge on per-task arithmetic.
 pub(crate) fn derive_task_terms(
     t: &TaskRecord,
     resources: &ResourceRegistry,
     cfg: &AtroposConfig,
-) -> TaskTerms {
+    out: &mut TaskTerms,
+) {
     let n = resources.len();
     let mult = t
         .progress
         .future_multiplier(cfg.progress_floor, cfg.default_progress);
-    let mut windows = vec![WindowUsage::default(); n];
-    for (i, u) in t.usage.iter().enumerate().take(n) {
-        windows[i] = u.window();
-    }
-    let mut raw_future = vec![0.0; n];
-    let mut raw_current = vec![0.0; n];
+    let TaskTerms {
+        windows,
+        raw_future,
+        raw_current,
+        ..
+    } = out;
+    windows.clear();
+    windows.extend(t.usage.iter().take(n).map(|u| u.window()));
+    windows.resize(n, WindowUsage::default());
+    raw_future.clear();
+    raw_future.resize(n, 0.0);
+    raw_current.clear();
+    raw_current.resize(n, 0.0);
     let window_active = t.window_active_ns();
     let mut active = window_active > 0;
     // Time this task spent blocked on synchronization/queue/system
@@ -213,16 +222,11 @@ pub(crate) fn derive_task_terms(
             active = true;
         }
     }
-    TaskTerms {
-        key: t.key,
-        cancellable: t.cancellable,
-        window_active_ns: window_active,
-        windows,
-        raw_future,
-        raw_current,
-        progress: t.progress.progress(cfg.progress_floor),
-        active,
-    }
+    out.key = t.key;
+    out.cancellable = t.cancellable;
+    out.window_active_ns = window_active;
+    out.progress = t.progress.progress(cfg.progress_floor);
+    out.active = active;
 }
 
 /// Builds the per-resource contention snapshots from the global window
@@ -293,8 +297,8 @@ pub(crate) fn resource_snapshots_from_sums(
 }
 
 /// Normalizes one raw gain by the per-resource maximum: the exact
-/// division both engines must share, since `raw_a < raw_b` does not imply
-/// `raw_a/max < raw_b/max` after rounding.
+/// division the index and the batch pass must share, since
+/// `raw_a < raw_b` does not imply `raw_a/max < raw_b/max` after rounding.
 #[inline]
 pub(crate) fn normalize_gain(g: f64, max: f64) -> f64 {
     if max > 0.0 {
@@ -304,32 +308,36 @@ pub(crate) fn normalize_gain(g: f64, max: f64) -> f64 {
     }
 }
 
-/// Converts cached [`TaskTerms`] into the published [`TaskGainSnapshot`],
-/// normalizing per-resource by the supplied maxima.
+/// Writes cached [`TaskTerms`] into the published [`TaskGainSnapshot`]
+/// `out` (reusing its buffers), normalizing per-resource by the supplied
+/// maxima.
 pub(crate) fn gain_snapshot(
     task: TaskId,
     terms: &TaskTerms,
     max_future: &[f64],
     max_current: &[f64],
-) -> TaskGainSnapshot {
-    TaskGainSnapshot {
-        task,
-        key: terms.key,
-        cancellable: terms.cancellable,
-        gains: terms
+    out: &mut TaskGainSnapshot,
+) {
+    out.task = task;
+    out.key = terms.key;
+    out.cancellable = terms.cancellable;
+    out.progress = terms.progress;
+    out.gains.clear();
+    out.gains.extend(
+        terms
             .raw_future
             .iter()
-            .enumerate()
-            .map(|(i, &g)| normalize_gain(g, max_future[i]))
-            .collect(),
-        current: terms
+            .zip(max_future)
+            .map(|(&g, &m)| normalize_gain(g, m)),
+    );
+    out.current.clear();
+    out.current.extend(
+        terms
             .raw_current
             .iter()
-            .enumerate()
-            .map(|(i, &g)| normalize_gain(g, max_current[i]))
-            .collect(),
-        progress: terms.progress,
-    }
+            .zip(max_current)
+            .map(|(&g, &m)| normalize_gain(g, m)),
+    );
 }
 
 /// Computes contention levels and resource gains from the most recently
@@ -348,7 +356,8 @@ pub fn estimate<'a>(
     let mut raw_tasks: Vec<(TaskId, TaskTerms)> = Vec::new();
 
     for t in tasks {
-        let terms = derive_task_terms(t, resources, cfg);
+        let mut terms = TaskTerms::zero(n);
+        derive_task_terms(t, resources, cfg, &mut terms);
         t_exec += terms.window_active_ns;
         for i in 0..n {
             let w = &terms.windows[i];
@@ -377,7 +386,11 @@ pub fn estimate<'a>(
     }
     let tasks_out = raw_tasks
         .iter()
-        .map(|(id, rt)| gain_snapshot(*id, rt, &max_future, &max_current))
+        .map(|(id, rt)| {
+            let mut out = TaskGainSnapshot::default();
+            gain_snapshot(*id, rt, &max_future, &max_current, &mut out);
+            out
+        })
         .collect();
 
     EstimatorSnapshot {

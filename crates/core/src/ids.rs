@@ -6,7 +6,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// Task ids are unique for the lifetime of a runtime; freeing a task does
 /// not recycle its id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct TaskId(pub u64);
 
 /// Developer-provided key identifying a task to the *application*.
@@ -14,7 +16,9 @@ pub struct TaskId(pub u64);
 /// This is what the cancellation initiator receives — e.g. the MySQL thread
 /// id passed to `sql_kill` in the paper's Figure 7. If the developer does
 /// not provide a key, the framework generates one (paper §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct TaskKey(pub u64);
 
 /// Identifier of a registered application resource.

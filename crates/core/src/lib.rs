@@ -82,7 +82,7 @@ pub mod ticker;
 pub mod trace;
 
 pub use cancel::CancelDecision;
-pub use config::{AtroposConfig, DetectorConfig, IngestMode, PolicyEngine, PolicyKind};
+pub use config::{AtroposConfig, DetectorConfig, PolicyKind};
 pub use debug::DebugSnapshot;
 pub use detect::OverloadClass;
 pub use estimator::{EstimatorSnapshot, ResourceSnapshot, TaskGainSnapshot};

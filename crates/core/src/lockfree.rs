@@ -1,13 +1,16 @@
 //! Lock-free per-producer trace ingest with epoch-based drain (§3.2 hot
 //! path; DESIGN.md §16).
 //!
-//! [`LockFreeIngest`] is the third [`IngestMode`](crate::config::IngestMode):
-//! the same task-sharded buffering contract as
-//! [`ShardedIngest`](crate::trace::ShardedIngest), but the per-shard
-//! buffer is a bounded lock-free ring ([`RecordQueue`]) instead of a
-//! mutex-guarded `Vec`. Producers never take a lock, never allocate, and
-//! never wait for the drainer: an emit is one CAS to claim a slot, four
-//! relaxed word stores, and one release store to publish. The drain is
+//! [`LockFreeIngest`] is the runtime's emit-side buffer: tracing calls
+//! append a compact record to one of N task-sharded bounded lock-free
+//! rings ([`RecordQueue`]) instead of taking the runtime's global lock
+//! and updating per-task accounting inline. Producers never take a lock,
+//! never allocate, and never wait for the drainer: an emit is one CAS to
+//! claim a slot, four relaxed word stores, and one release store to
+//! publish. The records are replayed into the accounting state at the
+//! next drain point (`tick`, `stats`, `free_cancel`,
+//! `register_resource`), where the runtime holds its state lock anyway.
+//! The drain is
 //! *epoch-based*: the tick-time drainer advances an epoch, snapshots every
 //! queue's claim cursor, and harvests exactly the records claimed before
 //! the boundary — so a drain is bounded work even while producers keep
@@ -44,8 +47,10 @@
 //! Per-shard FIFO follows from claim order: concurrent pushes to one
 //! queue get distinct, ordered positions, and the single consumer
 //! harvests positions in order. A task maps to one queue for its whole
-//! life (same mask as the sharded stripes), so per-task emit order — the
-//! only order replay is sensitive to — is preserved structurally. When
+//! life, so per-task emit order — the only order replay is sensitive to
+//! (the accounting state is task-local, and
+//! [`BatchStamper`](crate::trace::BatchStamper) makes stamps independent
+//! of cross-queue order) — is preserved structurally. When
 //! each producer thread drives its own tasks (the steady state the name
 //! "per-producer" describes: sequential task ids spread producers across
 //! queues), the claim CAS never contends and the push is wait-free; two
@@ -223,14 +228,12 @@ impl EpochBoundary {
 
 /// Task-sharded lock-free ingest queues with epoch-based drain.
 ///
-/// Drop-in peer of [`ShardedIngest`](crate::trace::ShardedIngest) with the
-/// same outward contract (bounded task-sharded buffers, per-task FIFO,
-/// [`PushOutcome::Full`] hand-back, overflow accounting) and one
-/// deliberate difference: on a forced push into a still-full queue the
-/// *new* record is shed (counted, dropped) instead of the queue's oldest
-/// — a producer cannot pop a lock-free ring the single consumer owns.
-/// The single-threaded replay semantics are identical, so the golden
-/// suites hold byte-for-byte across `Sharded` and `LockFree`.
+/// Outward contract: bounded task-sharded buffers, per-task FIFO,
+/// [`PushOutcome::Full`] hand-back at the logical capacity, overflow
+/// accounting. On a forced push into a still-full queue the *new* record
+/// is shed (counted, dropped) — a producer cannot pop a lock-free ring
+/// the single consumer owns. Single-threaded the runtime always flushes
+/// before forcing, so nothing is ever shed there.
 pub struct LockFreeIngest {
     queues: Box<[RecordQueue]>,
     /// Completed-drain counter; [`LockFreeIngest::begin_epoch`] advances
@@ -253,9 +256,10 @@ impl std::fmt::Debug for LockFreeIngest {
 
 impl LockFreeIngest {
     /// Creates at least `queues` rings of `capacity` records each. The
-    /// queue count rounds up to a power of two (mask selection, matching
-    /// the sharded stripes); the ring length rounds up internally while
-    /// `capacity` stays the exact `Full` threshold.
+    /// queue count rounds up to a power of two so queue selection is a
+    /// mask instead of an integer division on the emit path; the ring
+    /// length rounds up internally while `capacity` stays the exact
+    /// `Full` threshold.
     pub fn new(queues: usize, capacity: usize) -> Self {
         let queues = queues.max(1).next_power_of_two();
         let capacity = capacity.max(1);
@@ -269,9 +273,9 @@ impl LockFreeIngest {
 
     #[inline]
     fn queue_for(&self, task: TaskId) -> &RecordQueue {
-        // Same placement as ShardedIngest::stripe_for: sequential task
-        // ids spread across queues, and a task keeps its queue for life
-        // (per-task FIFO is per-queue FIFO).
+        // Task ids are assigned sequentially, so masking the low bits
+        // spreads concurrent tasks evenly across queues, and a task keeps
+        // its queue for life (per-task FIFO is per-queue FIFO).
         &self.queues[task.0 as usize & (self.queues.len() - 1)]
     }
 

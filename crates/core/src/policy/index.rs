@@ -1,9 +1,8 @@
-//! Incremental, indexed evaluation of Algorithm 1 (the `Indexed` policy
-//! engine).
+//! Incremental, indexed evaluation of Algorithm 1.
 //!
-//! The naive engine rebuilds an [`EstimatorSnapshot`] from every task on
-//! every candidate tick: O(n·R) derivation work even when almost nothing
-//! changed since the last decision. `PolicyIndex` caches each task's
+//! The batch [`estimate`](crate::estimator::estimate) rebuilds an
+//! [`EstimatorSnapshot`] from every task: O(n·R) derivation work even
+//! when almost nothing changed since the last decision. `PolicyIndex` caches each task's
 //! derived [`TaskTerms`] in a slot and maintains, incrementally:
 //!
 //! - the **global window sums** (wait/hold/acquired/slow-amount per
@@ -42,7 +41,7 @@ use super::{dominates, Selection};
 use crate::config::{AtroposConfig, PolicyKind};
 use crate::estimator::{
     derive_task_terms, gain_snapshot, normalize_gain, resource_snapshots_from_sums,
-    EstimatorSnapshot, ResourceSnapshot, TaskTerms,
+    EstimatorSnapshot, ResourceSnapshot, TaskGainSnapshot, TaskTerms,
 };
 use crate::ids::{TaskId, TaskKey};
 use crate::record::{GainTerm, MAX_GAIN_TERMS};
@@ -134,6 +133,8 @@ pub struct PolicyIndex {
     /// Force a full rebuild at the next refresh (initial state, or the
     /// resource set changed under us).
     stale: bool,
+    /// Buffers the next derivation writes into; see `update_task`.
+    spare: TaskTerms,
 }
 
 impl PolicyIndex {
@@ -199,16 +200,17 @@ impl PolicyIndex {
             return;
         }
         for (id, t) in tasks {
-            let needs = match self.by_task.get(id) {
+            let slot = self.by_task.get(id).copied();
+            let needs = match slot {
                 None => true,
-                Some(&s) => {
+                Some(s) => {
                     !t.window_quiescent()
                         || !self.slots[s as usize].as_ref().expect("live slot").settled
                         || self.dirty.contains(id)
                 }
             };
             if needs {
-                self.update_task(*id, t, resources, cfg);
+                self.update_task(*id, slot, t, resources, cfg);
             }
         }
         self.dirty.clear();
@@ -248,7 +250,7 @@ impl PolicyIndex {
         self.slow = vec![0; self.n];
         self.t_exec = 0;
         for (id, t) in tasks {
-            self.update_task(*id, t, resources, cfg);
+            self.update_task(*id, None, t, resources, cfg);
         }
         self.stale = false;
         self.fix_max_tracks();
@@ -287,25 +289,30 @@ impl PolicyIndex {
     }
 
     /// Re-derives one task's terms and folds the delta into the global
-    /// sums, postings lists and max tracks.
+    /// sums, postings lists and max tracks. `slot` is the task's existing
+    /// slot, `None` for a task the index has not seen.
     fn update_task(
         &mut self,
         id: TaskId,
+        slot: Option<u32>,
         t: &TaskRecord,
         resources: &ResourceRegistry,
         cfg: &AtroposConfig,
     ) {
-        let new_terms = derive_task_terms(t, resources, cfg);
-        let slot = match self.by_task.get(&id) {
-            Some(&s) => s as usize,
+        // Derive into the spare buffers, then swap them with the slot's:
+        // `spare` holds the old terms for the delta fold below and is
+        // overwritten by the next derivation, so a refresh allocates only
+        // for tasks it has not seen before.
+        derive_task_terms(t, resources, cfg, &mut self.spare);
+        let slot = match slot {
+            Some(s) => s as usize,
             None => self.alloc_slot(id),
         };
         let su = slot as u32;
-        let settled = new_terms.is_zero();
         let slot_ref = self.slots[slot].as_mut().expect("live slot");
-        let old = std::mem::replace(&mut slot_ref.terms, new_terms);
-        slot_ref.settled = settled;
-        let new = &slot_ref.terms;
+        std::mem::swap(&mut slot_ref.terms, &mut self.spare);
+        slot_ref.settled = slot_ref.terms.is_zero();
+        let (old, new) = (&self.spare, &slot_ref.terms);
         self.t_exec = self.t_exec - old.window_active_ns + new.window_active_ns;
         for i in 0..self.n {
             let ow = &old.windows[i];
@@ -513,23 +520,29 @@ impl PolicyIndex {
     }
 
     /// Materializes the full [`EstimatorSnapshot`] (tasks in slot order)
-    /// for observers — the recorder, `last_estimate`, the chaos checker.
+    /// for observers — the recorder, `last_estimate`, the chaos checker —
+    /// into `out`, overwriting whatever it held and reusing its buffers.
     /// O(active tasks · R).
-    pub fn materialize(&self) -> EstimatorSnapshot {
+    pub fn materialize(&self, out: &mut EstimatorSnapshot) {
         let max_future: Vec<f64> = self.max_future.iter().map(|m| m.val).collect();
         let max_current: Vec<f64> = self.max_current.iter().map(|m| m.val).collect();
-        let tasks = self
-            .slots
-            .iter()
-            .flatten()
-            .filter(|slot| slot.terms.active)
-            .map(|slot| gain_snapshot(slot.task, &slot.terms, &max_future, &max_current))
-            .collect();
-        EstimatorSnapshot {
-            resources: self.resources.clone(),
-            tasks,
-            t_exec_ns: self.t_exec,
+        out.resources.clone_from(&self.resources);
+        out.t_exec_ns = self.t_exec;
+        let mut len = 0;
+        for slot in self.slots.iter().flatten().filter(|s| s.terms.active) {
+            if len == out.tasks.len() {
+                out.tasks.push(TaskGainSnapshot::default());
+            }
+            gain_snapshot(
+                slot.task,
+                &slot.terms,
+                &max_future,
+                &max_current,
+                &mut out.tasks[len],
+            );
+            len += 1;
         }
+        out.tasks.truncate(len);
     }
 }
 
@@ -538,6 +551,7 @@ mod tests {
     use super::*;
     use crate::estimator::estimate;
     use crate::ids::ResourceType;
+    use crate::policy::testutil::canon;
     use proptest::prelude::*;
 
     const KINDS: [PolicyKind; 3] = [
@@ -558,14 +572,6 @@ mod tests {
         AtroposConfig::default()
     }
 
-    fn canon(mut s: EstimatorSnapshot) -> EstimatorSnapshot {
-        // The index materializes tasks in slot order, the batch pass in
-        // task-map order; neither order affects decisions, so compare
-        // canonicalized.
-        s.tasks.sort_by_key(|t| t.task);
-        s
-    }
-
     /// Asserts the index agrees with a fresh batch estimate and that all
     /// three policies' selections are bit-identical to the naive oracle.
     fn assert_matches_naive(
@@ -575,7 +581,9 @@ mod tests {
         cfg: &AtroposConfig,
     ) {
         let fresh = estimate(tasks.values(), reg, cfg);
-        assert_eq!(canon(index.materialize()), canon(fresh.clone()));
+        let mut materialized = EstimatorSnapshot::default();
+        index.materialize(&mut materialized);
+        assert_eq!(canon(materialized), canon(fresh.clone()));
         for kind in KINDS {
             let naive = kind.build().select_naive(&fresh);
             assert_eq!(index.select(kind), naive, "kind {kind:?}");
@@ -606,6 +614,22 @@ mod tests {
         let mut index = PolicyIndex::new();
         index.refresh(&tasks, &reg, &cfg);
         assert_matches_naive(&index, &tasks, &reg, &cfg);
+
+        // The tick hands `materialize` the previous window's snapshot to
+        // overwrite: a stale, larger one must leave nothing behind.
+        let mut reused = EstimatorSnapshot::default();
+        index.materialize(&mut reused);
+        assert_eq!(reused.tasks.len(), 4);
+        for id in [1, 2] {
+            tasks.remove(&TaskId(id));
+            index.remove_task(TaskId(id));
+        }
+        for t in tasks.values_mut() {
+            t.roll_window(2000);
+        }
+        index.refresh(&tasks, &reg, &cfg);
+        index.materialize(&mut reused);
+        assert_eq!(canon(reused), canon(estimate(tasks.values(), &reg, &cfg)));
     }
 
     #[test]

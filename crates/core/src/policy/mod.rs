@@ -97,7 +97,7 @@ pub(crate) fn dominates(b: &[f64], a: &[f64]) -> bool {
 
 /// Per-resource `weight × gain` terms in resource-id order: the single
 /// definition of Algorithm 1's objective terms, shared by the scalarized
-/// score, the explainer breakdown, and the indexed engine, so a future
+/// score, the explainer breakdown, and the [`PolicyIndex`], so a future
 /// weight-formula change cannot diverge between paths.
 pub(crate) fn weighted_terms<'a>(
     resources: &'a [ResourceSnapshot],
@@ -249,6 +249,14 @@ pub fn gain_terms_for(
 pub(crate) mod testutil {
     use super::*;
     use crate::ids::{ResourceId, ResourceType};
+
+    /// The index materializes tasks in slot order, the batch `estimate`
+    /// in task-map order; neither order affects decisions, so the two
+    /// are compared canonicalized.
+    pub fn canon(mut s: EstimatorSnapshot) -> EstimatorSnapshot {
+        s.tasks.sort_by_key(|t| t.task);
+        s
+    }
 
     /// Builds a snapshot directly from weight and gain vectors.
     pub fn snapshot(weights: &[f64], tasks: &[(u64, &[f64])]) -> EstimatorSnapshot {

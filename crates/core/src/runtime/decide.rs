@@ -11,9 +11,7 @@ use std::collections::HashMap;
 
 use super::{AtroposRuntime, Inner, TickOutcome};
 use crate::cancel::CancelDecision;
-use crate::config::PolicyEngine;
 use crate::detect::OverloadSignal;
-use crate::estimator::estimate;
 use crate::ids::{ResourceType, TaskId, TaskKey};
 use crate::record::{CancelOrigin, DecisionEvent, RecorderHandle};
 use crate::task::{TaskRecord, TaskState};
@@ -27,7 +25,7 @@ impl AtroposRuntime {
         let now = self.clock.now_ns();
         // The tick is the principal drain point: buffered events are
         // replayed before the windows roll, so detection, estimation and
-        // policy all see the same accounting state direct ingestion
+        // policy all see the same accounting state per-event application
         // would have produced.
         let mut inner = self.lock_drained();
         inner.stats.ticks += 1;
@@ -56,25 +54,24 @@ impl AtroposRuntime {
                 inner.stats.candidates += 1;
                 // Potential overload: switch to precise timestamps (§3.2).
                 inner.ts.set_mode(TimestampMode::Precise);
-                // Both engines produce bit-identical decisions (enforced
-                // by the differential suites); the indexed engine just
-                // gets there without re-deriving every task.
-                let snapshot = match inner.cfg.policy_engine {
-                    PolicyEngine::Naive => {
-                        estimate(inner.tasks.values(), &inner.resources, &inner.cfg)
-                    }
-                    PolicyEngine::Indexed => {
-                        let Inner {
-                            policy_index,
-                            tasks,
-                            resources,
-                            cfg,
-                            ..
-                        } = &mut *inner;
-                        policy_index.refresh(tasks, resources, cfg);
-                        policy_index.materialize()
-                    }
-                };
+                // The index produces decisions bit-identical to a fresh
+                // `estimate` + `select_naive` (enforced by the differential
+                // suites) without re-deriving every task.
+                // The previous window's snapshot is overwritten in place
+                // (it goes back into `last_estimate` below), so a candidate
+                // tick allocates nothing per task.
+                let mut snapshot = inner.last_estimate.take().unwrap_or_default();
+                {
+                    let Inner {
+                        policy_index,
+                        tasks,
+                        resources,
+                        cfg,
+                        ..
+                    } = &mut *inner;
+                    policy_index.refresh(tasks, resources, cfg);
+                    policy_index.materialize(&mut snapshot);
+                }
                 let hot = snapshot.bottlenecked(inner.cfg.detector.min_contention);
                 let outcome = if hot.is_empty() {
                     inner.stats.regular_overloads += 1;
@@ -109,11 +106,7 @@ impl AtroposRuntime {
                                 hold_ns: r.hold_ns,
                             });
                         }
-                        let ranked = match inner.cfg.policy_engine {
-                            PolicyEngine::Naive => crate::policy::ranked_naive(&snapshot),
-                            PolicyEngine::Indexed => crate::policy::ranked(&snapshot),
-                        };
-                        for s in ranked {
+                        for s in crate::policy::ranked(&snapshot) {
                             rec.emit(|tick| DecisionEvent::CandidateRanked {
                                 tick,
                                 task: s.task,
@@ -122,11 +115,7 @@ impl AtroposRuntime {
                             });
                         }
                     }
-                    let sel = match inner.cfg.policy_engine {
-                        PolicyEngine::Naive => inner.policy.select_naive(&snapshot),
-                        PolicyEngine::Indexed => inner.policy_index.select(inner.cfg.policy),
-                    };
-                    let (canceled, decision) = match sel {
+                    let (canceled, decision) = match inner.policy_index.select(inner.cfg.policy) {
                         Some(s) => {
                             if rec.enabled() {
                                 let hot0 = hot[0];
@@ -141,12 +130,7 @@ impl AtroposRuntime {
                                     })
                                     .count()
                                     as u64;
-                                let terms = match inner.cfg.policy_engine {
-                                    PolicyEngine::Naive => {
-                                        crate::policy::gain_terms(&snapshot, s.task)
-                                    }
-                                    PolicyEngine::Indexed => inner.policy_index.gain_terms(s.task),
-                                };
+                                let terms = inner.policy_index.gain_terms(s.task);
                                 rec.emit(|tick| DecisionEvent::BlameAssigned {
                                     tick,
                                     resource: hot0,

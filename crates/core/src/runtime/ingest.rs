@@ -1,33 +1,18 @@
 //! Ingest: the tracing hot path (Figure 6b) and the performance signal.
 //!
 //! Everything here feeds accounting state *into* the runtime — resource
-//! registration, get/free/slow_by trace events (direct or sharded), GetNext
-//! progress, and the unit lifecycle that drives the detector. Nothing in
-//! this module makes decisions; that is `decide.rs`.
+//! registration, get/free/slow_by trace events (buffered in the lock-free
+//! rings, replayed at drain points), GetNext progress, and the unit
+//! lifecycle that drives the detector. Nothing in this module makes
+//! decisions; that is `decide.rs`.
 
-use super::{AtroposRuntime, IngestBuffers, Inner};
+use super::{AtroposRuntime, Inner};
 use crate::ids::{ResourceId, ResourceType, TaskId};
 use crate::lockfree::LockFreeIngest;
-use crate::trace::{EventKind, PushOutcome, ShardedIngest};
+use crate::trace::{EventKind, PushOutcome};
 
 impl Inner {
-    /// Applies one tracing call to the accounting state. Shared by the
-    /// direct ingest path (at emit time) and the sharded drain (at
-    /// replay time); keeping them on one code path is what makes the two
-    /// modes behave identically.
-    pub(super) fn apply_trace(
-        &mut self,
-        task: TaskId,
-        rid: ResourceId,
-        amount: u64,
-        kind: EventKind,
-        now: u64,
-    ) {
-        let stamp = self.ts.stamp(now);
-        self.apply_stamped(task, rid, amount, kind, stamp);
-    }
-
-    /// The post-timestamp half of [`Inner::apply_trace`].
+    /// Applies one stamped tracing call to the accounting state.
     fn apply_stamped(
         &mut self,
         task: TaskId,
@@ -59,49 +44,24 @@ impl Inner {
     /// Replays every buffered tracing call and folds overflow-shed
     /// records into the ignored count.
     ///
-    /// Shards are replayed one after another with no global merge or
+    /// The drain is epoch-based: advance the epoch, snapshot every
+    /// queue's claim cursor, and harvest exactly the records claimed
+    /// before the boundary. Producers appending mid-drain land in the
+    /// next epoch, so one drain is bounded work; a claimed-but-unpublished
+    /// cell stops its queue's harvest early (the drainer never spins on a
+    /// preempted producer) and those records also carry over.
+    /// Single-threaded, the boundary always covers everything.
+    ///
+    /// Queues are replayed one after another with no global merge or
     /// sort. That is still equivalent to emit-order replay: a task maps
-    /// to one shard for its whole life, so each task's events apply in
+    /// to one queue for its whole life, so each task's events apply in
     /// emit order; the accounting state is task-local and the stats
     /// counters commute; the resource registry and task map cannot change
     /// mid-drain (both are mutated only under the `inner` lock we hold);
     /// and [`crate::trace::BatchStamper`] assigns every record the same
     /// stamp a sequential emit-order replay would (closed form over the
     /// time-monotone emission sequence).
-    pub(super) fn drain_ingest(&mut self, ingest: &IngestBuffers) {
-        match ingest {
-            IngestBuffers::Sharded(i) => self.drain_sharded(i),
-            IngestBuffers::LockFree(i) => self.drain_lockfree(i),
-        }
-    }
-
-    /// Drain of the stripe-locked oracle: swap each stripe's `Vec` out
-    /// under its lock and replay it.
-    fn drain_sharded(&mut self, ingest: &ShardedIngest) {
-        self.stats.ignored_events += ingest.take_overflow_dropped();
-        let mut stamper = self.ts.begin_batch();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for i in 0..ingest.stripe_count() {
-            ingest.swap_stripe(i, &mut scratch);
-            for rec in scratch.drain(..) {
-                let stamp = stamper.stamp(rec.now);
-                self.apply_stamped(rec.task, rec.rid, rec.amount, rec.kind, stamp);
-            }
-        }
-        self.scratch = scratch;
-        self.ts.commit_batch(stamper);
-    }
-
-    /// Epoch-based drain of the lock-free path: advance the epoch,
-    /// snapshot every queue's claim cursor, and harvest exactly the
-    /// records claimed before the boundary. Producers appending
-    /// mid-drain land in the next epoch, so one drain is bounded work;
-    /// a claimed-but-unpublished cell stops its queue's harvest early
-    /// (the drainer never spins on a preempted producer) and those
-    /// records also carry over. Single-threaded, the boundary always
-    /// covers everything, which keeps this replay bit-identical to the
-    /// sharded oracle.
-    fn drain_lockfree(&mut self, ingest: &LockFreeIngest) {
+    pub(super) fn drain_ingest(&mut self, ingest: &LockFreeIngest) {
         self.stats.ignored_events += ingest.take_overflow_dropped();
         let boundary = ingest.begin_epoch();
         let mut stamper = self.ts.begin_batch();
@@ -140,28 +100,22 @@ impl AtroposRuntime {
 
     fn trace(&self, task: TaskId, rid: ResourceId, amount: u64, kind: EventKind) {
         let now = self.clock.now_ns();
-        let Some(ingest) = &self.ingest else {
-            // Direct mode: global lock plus inline accounting per event.
-            self.inner.lock().apply_trace(task, rid, amount, kind, now);
-            return;
-        };
-        // Buffered modes: the hot path is a shard-local bounded append —
-        // a mutex-guarded `Vec` push (`Sharded`) or a lock-free ring
-        // claim + publish (`LockFree`).
-        if let PushOutcome::Full(rec) = ingest.push(task, rid, amount, kind, now) {
-            // The stripe filled mid-window. Flush every stripe if the
+        // The hot path is a shard-local bounded append: a lock-free ring
+        // claim + publish.
+        if let PushOutcome::Full(rec) = self.ingest.push(task, rid, amount, kind, now) {
+            // The ring filled mid-window. Flush every ring if the
             // runtime state is free (it always is under the
             // single-threaded simulator, keeping replay lossless there);
             // if another thread holds it — e.g. a concurrent tick, which
-            // is itself draining — shed the stripe's oldest record
-            // rather than block the request path.
+            // is itself draining — shed the record rather than block the
+            // request path.
             match self.inner.try_lock() {
                 Some(mut inner) => {
                     inner.stats.mid_window_flushes += 1;
-                    inner.drain_ingest(ingest);
-                    ingest.force_push(rec);
+                    inner.drain_ingest(&self.ingest);
+                    self.ingest.force_push(rec);
                 }
-                None => ingest.force_push(rec),
+                None => self.ingest.force_push(rec),
             }
         }
     }
@@ -221,5 +175,27 @@ impl AtroposRuntime {
     pub fn record_drop(&self) {
         let now = self.clock.now_ns();
         self.inner.lock().detector.record_drop(now);
+    }
+}
+
+/// The sequential reference the buffered path is proven against (see the
+/// `runtime` tests): every event takes the state lock, is stamped by the
+/// sequential [`TimestampPolicy::stamp`](crate::trace::TimestampPolicy::stamp)
+/// recurrence and applied before the call returns. It touches neither the
+/// rings nor the batch stamper, so it shares no batching state with
+/// the production `trace`.
+#[cfg(test)]
+impl AtroposRuntime {
+    pub(super) fn trace_sequential(
+        &self,
+        task: TaskId,
+        rid: ResourceId,
+        amount: u64,
+        kind: EventKind,
+    ) {
+        let now = self.clock.now_ns();
+        let mut inner = self.inner.lock();
+        let stamp = inner.ts.stamp(now);
+        inner.apply_stamped(task, rid, amount, kind, stamp);
     }
 }

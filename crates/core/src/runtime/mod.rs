@@ -11,7 +11,7 @@
 //!
 //! - [`ingest`](self) (`ingest.rs`) — the tracing hot path: resource
 //!   registration, get/free/slow_by, the performance signal, and the
-//!   sharded-buffer replay that folds buffered events into accounting;
+//!   epoch-drained replay that folds buffered events into accounting;
 //! - `decide.rs` — the periodic driver: one `tick` running detection →
 //!   estimation → policy → cancellation;
 //! - `actuate.rs` — the cancellation boundary: task scoping, initiator /
@@ -32,16 +32,16 @@ use atropos_sim::Clock;
 use parking_lot::Mutex;
 
 use crate::cancel::{CancelDecision, CancelManager, CancelStats};
-use crate::config::{AtroposConfig, IngestMode};
+use crate::config::AtroposConfig;
 use crate::detect::Detector;
 use crate::estimator::EstimatorSnapshot;
 use crate::ids::{ResourceId, TaskId, TaskKey};
 use crate::lockfree::LockFreeIngest;
-use crate::policy::{CancellationPolicy, PolicyIndex};
+use crate::policy::PolicyIndex;
 use crate::record::Recorder;
 use crate::resource::ResourceRegistry;
 use crate::task::{TaskRecord, TaskState};
-use crate::trace::{self, EventKind, PushOutcome, ShardedIngest, TimestampMode, TimestampPolicy};
+use crate::trace::{TimestampMode, TimestampPolicy, TraceRecord};
 
 /// Auto-generated keys live in the top half of the key space so they never
 /// collide with developer-provided keys (which are expected to be small
@@ -73,10 +73,10 @@ pub struct RuntimeStats {
     /// Tracing API calls processed.
     pub trace_events: u64,
     /// Tracing API calls that referenced an unknown task/resource and were
-    /// ignored (e.g. events racing with `free_cancel`), plus sharded-mode
-    /// records shed when a stripe overflowed with the runtime state busy.
+    /// ignored (e.g. events racing with `free_cancel`), plus records shed
+    /// when an ingest ring overflowed with the runtime state busy.
     pub ignored_events: u64,
-    /// Sharded-mode drains triggered by a full stripe between ticks.
+    /// Drains triggered by a full ingest ring between ticks.
     pub mid_window_flushes: u64,
     /// `tick` invocations.
     pub ticks: u64,
@@ -103,11 +103,8 @@ struct Inner {
     next_task: u64,
     next_auto_key: u64,
     detector: Detector,
-    policy: Box<dyn CancellationPolicy>,
-    /// Incrementally maintained policy state, used when
-    /// [`AtroposConfig::policy_engine`] is
-    /// [`PolicyEngine`](crate::config::PolicyEngine)`::Indexed`. Kept in
-    /// sync by the ingest/actuate hooks and refreshed on candidate ticks.
+    /// Incrementally maintained policy state. Kept in sync by the
+    /// ingest/actuate hooks and refreshed on candidate ticks.
     policy_index: PolicyIndex,
     cancel: CancelManager,
     ts: TimestampPolicy,
@@ -122,64 +119,17 @@ struct Inner {
     /// drains these via the debug snapshot to drive upstream propagation
     /// proofs (invariant I9).
     remote_blame: Vec<crate::task::RemoteBlame>,
-    /// Reusable drain buffer, swapped stripe by stripe so replay never
+    /// Reusable drain buffer, refilled queue by queue so replay never
     /// allocates on the steady state.
-    scratch: Vec<trace::TraceRecord>,
-}
-
-/// The emit-side buffers of a buffered [`IngestMode`]: the structures
-/// tracing calls append to without touching `inner`. Both variants share
-/// the same outward contract (task-sharded bounded buffers, per-task
-/// FIFO, `Full` hand-back, overflow accounting); the drain side differs
-/// (stripe swap vs epoch harvest) and is dispatched in
-/// [`Inner::drain_ingest`].
-pub(crate) enum IngestBuffers {
-    /// Stripe-locked `Vec`s, kept as the oracle.
-    Sharded(ShardedIngest),
-    /// Lock-free rings with epoch-based drain (the default).
-    LockFree(LockFreeIngest),
-}
-
-impl IngestBuffers {
-    #[inline]
-    pub(crate) fn push(
-        &self,
-        task: TaskId,
-        rid: ResourceId,
-        amount: u64,
-        kind: EventKind,
-        now: u64,
-    ) -> PushOutcome {
-        match self {
-            IngestBuffers::Sharded(i) => i.push(task, rid, amount, kind, now),
-            IngestBuffers::LockFree(i) => i.push(task, rid, amount, kind, now),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn force_push(&self, rec: trace::TraceRecord) {
-        match self {
-            IngestBuffers::Sharded(i) => i.force_push(rec),
-            IngestBuffers::LockFree(i) => i.force_push(rec),
-        }
-    }
-
-    pub(crate) fn pending(&self) -> usize {
-        match self {
-            IngestBuffers::Sharded(i) => i.pending(),
-            IngestBuffers::LockFree(i) => i.pending(),
-        }
-    }
+    scratch: Vec<TraceRecord>,
 }
 
 /// The Atropos runtime. See the [crate-level docs](crate) for an overview
 /// and a usage example.
 pub struct AtroposRuntime {
     clock: Arc<dyn Clock>,
-    /// Present iff [`AtroposConfig::ingest_mode`] is a buffered mode
-    /// ([`IngestMode::Sharded`] or [`IngestMode::LockFree`]): the buffers
-    /// tracing calls append to without touching `inner`.
-    ingest: Option<IngestBuffers>,
+    /// The rings tracing calls append to without touching `inner`.
+    ingest: LockFreeIngest,
     inner: Mutex<Inner>,
 }
 
@@ -210,20 +160,9 @@ impl AtroposRuntime {
     pub fn try_new(cfg: AtroposConfig, clock: Arc<dyn Clock>) -> Result<Self, String> {
         cfg.validate()?;
         let origin = clock.now_ns();
-        let ingest = match cfg.ingest_mode {
-            IngestMode::Direct => None,
-            IngestMode::Sharded => Some(IngestBuffers::Sharded(ShardedIngest::new(
-                cfg.ingest_stripes,
-                cfg.ingest_stripe_capacity,
-            ))),
-            IngestMode::LockFree => Some(IngestBuffers::LockFree(LockFreeIngest::new(
-                cfg.ingest_stripes,
-                cfg.ingest_stripe_capacity,
-            ))),
-        };
+        let ingest = LockFreeIngest::new(cfg.ingest_stripes, cfg.ingest_stripe_capacity);
         let inner = Inner {
             detector: Detector::new(cfg.detector.clone(), origin),
-            policy: cfg.policy.build(),
             policy_index: PolicyIndex::new(),
             cancel: CancelManager::new(&cfg),
             ts: TimestampPolicy::new(cfg.sample_interval_ns),
@@ -250,13 +189,11 @@ impl AtroposRuntime {
     ///
     /// Every method that reads or mutates state the trace events feed
     /// (task usage, the resource registry, event counters) must go through
-    /// this, so sharded ingestion observes exactly the direct-mode state
-    /// at each drain point.
+    /// this, so buffered ingestion observes exactly the state per-event
+    /// application would have produced at each drain point.
     fn lock_drained(&self) -> parking_lot::MutexGuard<'_, Inner> {
         let mut inner = self.inner.lock();
-        if let Some(ingest) = &self.ingest {
-            inner.drain_ingest(ingest);
-        }
+        inner.drain_ingest(&self.ingest);
         inner
     }
 
@@ -289,7 +226,7 @@ impl AtroposRuntime {
 
     /// Aggregate counters *without* draining buffered trace events: a
     /// cheap snapshot for monitoring threads that must not perturb the
-    /// sharded ingest (forcing a drain from a poller steals the batch
+    /// buffered ingest (forcing a drain from a poller steals the batch
     /// replay from the tick path and skews `mid_window_flushes`). Event
     /// counts may lag [`AtroposRuntime::stats`] by up to one drain.
     pub fn stats_relaxed(&self) -> RuntimeStats {
@@ -299,29 +236,15 @@ impl AtroposRuntime {
         s
     }
 
-    /// How tracing calls are ingested (fixed at construction).
-    pub fn ingest_mode(&self) -> IngestMode {
-        match &self.ingest {
-            None => IngestMode::Direct,
-            Some(IngestBuffers::Sharded(_)) => IngestMode::Sharded,
-            Some(IngestBuffers::LockFree(_)) => IngestMode::LockFree,
-        }
-    }
-
-    /// Completed drain epochs of the lock-free ingest path (0 in the
-    /// other modes): each drain point advances exactly one epoch and
-    /// harvests exactly the records claimed before its boundary.
+    /// Completed drain epochs: each drain point advances exactly one
+    /// epoch and harvests exactly the records claimed before its boundary.
     pub fn ingest_epochs(&self) -> u64 {
-        match &self.ingest {
-            Some(IngestBuffers::LockFree(i)) => i.epochs(),
-            _ => 0,
-        }
+        self.ingest.epochs()
     }
 
-    /// Number of trace events currently buffered and not yet replayed
-    /// (always 0 in [`IngestMode::Direct`]).
+    /// Number of trace events currently buffered and not yet replayed.
     pub fn ingest_pending(&self) -> usize {
-        self.ingest.as_ref().map_or(0, |i| i.pending())
+        self.ingest.pending()
     }
 
     /// Forces the timestamp mode, overriding the detector-driven switch
@@ -414,7 +337,9 @@ impl AtroposRuntime {
 mod tests {
     use super::*;
     use crate::ids::ResourceType;
+    use crate::trace::EventKind;
     use atropos_sim::{SimTime, VirtualClock};
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     const MS: u64 = 1_000_000;
@@ -681,11 +606,103 @@ mod tests {
         assert!(AtroposRuntime::try_new(cfg, clock).is_err());
     }
 
+    /// How a test hands tracing calls to the runtime. Neither alternative
+    /// to `Deferred` shares batching state with it: `DrainEveryEmit` is the
+    /// production path at batch size one, `Sequential` bypasses the rings
+    /// and the batch stamper entirely.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Feed {
+        /// The production path: events sit in the rings until a drain point.
+        Deferred,
+        /// Every event is applied before the next call returns: a drain
+        /// (via `stats`) after every tracing call.
+        DrainEveryEmit,
+        /// The sequential reference, [`AtroposRuntime::trace_sequential`].
+        Sequential,
+    }
+
+    impl Feed {
+        fn trace(
+            self,
+            rt: &AtroposRuntime,
+            task: TaskId,
+            rid: ResourceId,
+            amount: u64,
+            kind: EventKind,
+        ) {
+            if self == Feed::Sequential {
+                return rt.trace_sequential(task, rid, amount, kind);
+            }
+            match kind {
+                EventKind::Get => rt.get_resource(task, rid, amount),
+                EventKind::Free => rt.free_resource(task, rid, amount),
+                EventKind::SlowBy => rt.slow_by_resource(task, rid, amount),
+            }
+            if self == Feed::DrainEveryEmit {
+                rt.stats();
+            }
+        }
+    }
+
+    /// The policy reference, checked against the state a non-idle tick
+    /// just decided on: a fresh batch `estimate` over the task map equals
+    /// what the index materialized, `select_naive` over it equals the
+    /// index's selection, and the tick's outcome is the one the reference
+    /// alone would have produced.
+    fn assert_tick_matches_policy_reference(rt: &AtroposRuntime, outcome: &TickOutcome) {
+        use crate::policy::testutil::canon;
+        let inner = rt.inner.lock();
+        let fresh = crate::estimator::estimate(inner.tasks.values(), &inner.resources, &inner.cfg);
+        let mut materialized = EstimatorSnapshot::default();
+        inner.policy_index.materialize(&mut materialized);
+        assert_eq!(canon(materialized), canon(fresh.clone()));
+        assert_eq!(
+            inner.last_estimate.clone().map(canon),
+            Some(canon(fresh.clone()))
+        );
+        let naive = inner.cfg.policy.build().select_naive(&fresh);
+        assert_eq!(inner.policy_index.select(inner.cfg.policy), naive);
+        let hot = fresh.bottlenecked(inner.cfg.detector.min_contention);
+        match outcome {
+            TickOutcome::Idle => panic!("idle ticks do not refresh the index"),
+            TickOutcome::RegularOverload => assert!(hot.is_empty()),
+            TickOutcome::ResourceOverload {
+                resources,
+                canceled,
+                decision,
+            } => {
+                assert_eq!(resources, &hot);
+                assert_eq!(decision.is_some(), naive.is_some());
+                if let Some(key) = canceled {
+                    assert_eq!(Some(*key), naive.map(|s| s.key));
+                }
+                if let Some(s) = naive {
+                    assert_eq!(
+                        inner.policy_index.gain_terms(s.task),
+                        crate::policy::gain_terms(&fresh, s.task)
+                    );
+                }
+            }
+        }
+    }
+
+    /// One tick, with every non-idle outcome checked against the policy
+    /// reference before anything else touches the state it decided on.
+    fn checked_tick(rt: &AtroposRuntime) -> TickOutcome {
+        let outcome = rt.tick();
+        if outcome != TickOutcome::Idle {
+            assert_tick_matches_policy_reference(rt, &outcome);
+        }
+        outcome
+    }
+
     /// Drives a deterministic mixed workload — a lock hog, waiting
     /// victims, healthy churn, events on freed tasks and unregistered
     /// resources, an overload window with a cancellation — and returns
-    /// every observable: per-tick outcomes and final stats.
-    fn drive_scripted(mut cfg: AtroposConfig) -> (Vec<TickOutcome>, RuntimeStats) {
+    /// every observable: per-tick outcomes and final stats. Every
+    /// non-idle tick is checked against the policy reference.
+    fn drive_scripted(mut cfg: AtroposConfig, feed: Feed) -> (Vec<TickOutcome>, RuntimeStats) {
+        use EventKind::{Free, Get, SlowBy};
         cfg.detector.slo_latency_ns = 10 * MS;
         cfg.detector.window_ns = 100 * MS;
         cfg.cancel_min_interval_ns = 0;
@@ -698,43 +715,44 @@ mod tests {
         let hog = rt.create_cancel(Some(99));
         rt.unit_started(hog);
         rt.report_progress(hog, 10, 100);
-        rt.get_resource(hog, lock, 1);
+        feed.trace(&rt, hog, lock, 1, Get);
 
         let mut victims = Vec::new();
         for i in 0..10 {
             let v = rt.create_cancel(Some(i));
             rt.unit_started(v);
-            rt.slow_by_resource(v, lock, 1);
+            feed.trace(&rt, v, lock, 1, SlowBy);
             victims.push(v);
         }
 
         // A task freed with events still buffered, then posthumous events.
         let ghost = rt.create_cancel(Some(55));
-        rt.get_resource(ghost, pool, 7);
+        feed.trace(&rt, ghost, pool, 7, Get);
         rt.free_cancel(ghost);
-        rt.get_resource(ghost, pool, 7); // ignored: task gone
-        rt.get_resource(hog, ResourceId(9), 1); // ignored: unknown resource
+        feed.trace(&rt, ghost, pool, 7, Get); // ignored: task gone
+        feed.trace(&rt, hog, ResourceId(9), 1, Get); // ignored: unknown resource
 
         let mut outcomes = Vec::new();
+        let mut tick = || outcomes.push(checked_tick(&rt));
         // Window 0: healthy completions with steady pool traffic.
         for step in 1..=20u64 {
             clock.advance_to(SimTime::from_nanos(step * 5 * MS / 2));
             let t = rt.create_cancel(None);
             rt.unit_started(t);
-            rt.get_resource(t, pool, step % 5 + 1);
-            rt.free_resource(t, pool, step % 5 + 1);
+            feed.trace(&rt, t, pool, step % 5 + 1, Get);
+            feed.trace(&rt, t, pool, step % 5 + 1, Free);
             rt.unit_finished(t);
             rt.free_cancel(t);
         }
         clock.advance_to(SimTime::from_millis(100));
-        outcomes.push(rt.tick());
+        tick();
 
         // Window 1: a stall — two victims finish far over the SLO.
         for step in 1..=10u64 {
             clock.advance_to(SimTime::from_nanos(100 * MS + step * 9 * MS));
             let t = rt.create_cancel(None);
             rt.unit_started(t);
-            rt.slow_by_resource(t, lock, 1);
+            feed.trace(&rt, t, lock, 1, SlowBy);
             rt.unit_finished(t);
             rt.free_cancel(t);
         }
@@ -742,100 +760,84 @@ mod tests {
         rt.unit_finished(victims[0]);
         rt.unit_finished(victims[1]);
         clock.advance_to(SimTime::from_millis(200));
-        outcomes.push(rt.tick());
+        tick();
         clock.advance_to(SimTime::from_millis(300));
-        outcomes.push(rt.tick());
+        tick();
 
         (outcomes, rt.stats())
     }
 
-    /// The tentpole's correctness contract: under the single-threaded
-    /// virtual clock, sharded batch-drained ingestion is observationally
-    /// identical to direct per-event ingestion — same tick outcomes, same
-    /// event accounting, same cancellations.
-    #[test]
-    fn sharded_ingest_matches_direct_ingest() {
-        let direct = drive_scripted(AtroposConfig {
-            ingest_mode: IngestMode::Direct,
+    fn tiny_rings() -> AtroposConfig {
+        AtroposConfig {
+            ingest_stripes: 1,
+            ingest_stripe_capacity: 8,
             ..AtroposConfig::default()
-        });
-        let sharded = drive_scripted(AtroposConfig {
-            ingest_mode: IngestMode::Sharded,
-            ..AtroposConfig::default()
-        });
-        assert_eq!(direct.0, sharded.0, "tick outcomes diverged");
-        assert_eq!(direct.1, sharded.1, "stats diverged");
-        assert!(direct.1.trace_events > 0);
-        assert_eq!(direct.1.ignored_events, 2);
-        assert_eq!(direct.1.cancel.issued, 1);
+        }
     }
 
-    /// With stripes far smaller than the event volume, mid-window flushes
+    /// The ingest path's correctness contract on the scripted workload:
+    /// deferred batch replay is observationally identical to applying
+    /// every event before the next call returns — same tick outcomes,
+    /// same event accounting, same cancellations — whether "immediately"
+    /// means the production path drained after every emit or the
+    /// sequential reference.
+    #[test]
+    fn deferred_ingest_matches_per_event_application() {
+        let sequential = drive_scripted(AtroposConfig::default(), Feed::Sequential);
+        for feed in [Feed::DrainEveryEmit, Feed::Deferred] {
+            let got = drive_scripted(AtroposConfig::default(), feed);
+            assert_eq!(sequential.0, got.0, "{feed:?}: tick outcomes diverged");
+            assert_eq!(sequential.1, got.1, "{feed:?}: stats diverged");
+        }
+        assert!(sequential.1.trace_events > 0);
+        assert_eq!(sequential.1.ignored_events, 2);
+        assert_eq!(sequential.1.cancel.issued, 1);
+    }
+
+    /// With rings far smaller than the event volume, mid-window flushes
     /// kick in; single-threaded they are lossless, so everything except
-    /// the flush counter still matches direct mode exactly.
+    /// the flush counter still matches per-event application exactly.
     #[test]
-    fn tiny_stripes_flush_mid_window_without_divergence() {
-        let direct = drive_scripted(AtroposConfig {
-            ingest_mode: IngestMode::Direct,
-            ..AtroposConfig::default()
-        });
-        let sharded = drive_scripted(AtroposConfig {
-            ingest_mode: IngestMode::Sharded,
-            ingest_stripes: 1,
-            ingest_stripe_capacity: 8,
-            ..AtroposConfig::default()
-        });
-        assert_eq!(direct.0, sharded.0, "tick outcomes diverged");
-        assert!(sharded.1.mid_window_flushes > 0);
-        let mut normalized = sharded.1;
-        normalized.mid_window_flushes = direct.1.mid_window_flushes;
-        assert_eq!(direct.1, normalized, "stats diverged beyond flush count");
+    fn tiny_rings_flush_mid_window_without_divergence() {
+        let sequential = drive_scripted(tiny_rings(), Feed::Sequential);
+        let deferred = drive_scripted(tiny_rings(), Feed::Deferred);
+        assert_eq!(sequential.0, deferred.0, "tick outcomes diverged");
+        assert!(deferred.1.mid_window_flushes > 0);
+        assert_eq!(sequential.1.mid_window_flushes, 0);
+        let mut normalized = deferred.1;
+        normalized.mid_window_flushes = 0;
+        assert_eq!(
+            sequential.1, normalized,
+            "stats diverged beyond flush count"
+        );
     }
 
-    /// The lock-free default's correctness contract: under the
-    /// single-threaded virtual clock, lock-free epoch-drained ingestion
-    /// is observationally identical to direct per-event ingestion — the
-    /// same contract the sharded oracle satisfies, so all three modes
-    /// agree and the goldens hold without regeneration.
+    /// The flush threshold is the configured logical capacity, not the
+    /// rounded ring length: `ingest_stripe_capacity` pushes fit, the next
+    /// one flushes, and a single-threaded flush loses nothing.
     #[test]
-    fn lockfree_ingest_matches_direct_ingest() {
-        let direct = drive_scripted(AtroposConfig {
-            ingest_mode: IngestMode::Direct,
-            ..AtroposConfig::default()
-        });
-        let lockfree = drive_scripted(AtroposConfig {
-            ingest_mode: IngestMode::LockFree,
-            ..AtroposConfig::default()
-        });
-        assert_eq!(direct.0, lockfree.0, "tick outcomes diverged");
-        assert_eq!(direct.1, lockfree.1, "stats diverged");
-        assert!(direct.1.trace_events > 0);
+    fn rings_flush_at_exactly_the_configured_capacity() {
+        let cfg = AtroposConfig {
+            ingest_stripe_capacity: 9, // ring rounds up to 16 cells
+            ..tiny_rings()
+        };
+        let rt = AtroposRuntime::new(cfg, Arc::new(VirtualClock::new()));
+        let pool = rt.register_resource("pool", ResourceType::Memory);
+        let t = rt.create_cancel(None);
+        for _ in 0..9 {
+            rt.get_resource(t, pool, 1);
+        }
+        assert_eq!(rt.ingest_pending(), 9);
+        assert_eq!(rt.stats_relaxed().mid_window_flushes, 0);
+        rt.get_resource(t, pool, 1);
+        assert_eq!(rt.ingest_pending(), 1, "the flush replayed the full ring");
+        let s = rt.stats();
+        assert_eq!(s.mid_window_flushes, 1);
+        assert_eq!(s.trace_events, 10);
+        assert_eq!(s.ignored_events, 0);
     }
 
-    /// With tiny rings the lock-free path must flush mid-window exactly
-    /// as often as the sharded oracle at the same geometry (the `Full`
-    /// threshold is the logical capacity, not the rounded ring length),
-    /// and lose nothing single-threaded.
-    #[test]
-    fn tiny_rings_flush_identically_to_sharded_stripes() {
-        let sharded = drive_scripted(AtroposConfig {
-            ingest_mode: IngestMode::Sharded,
-            ingest_stripes: 1,
-            ingest_stripe_capacity: 8,
-            ..AtroposConfig::default()
-        });
-        let lockfree = drive_scripted(AtroposConfig {
-            ingest_mode: IngestMode::LockFree,
-            ingest_stripes: 1,
-            ingest_stripe_capacity: 8,
-            ..AtroposConfig::default()
-        });
-        assert_eq!(sharded.0, lockfree.0, "tick outcomes diverged");
-        assert_eq!(sharded.1, lockfree.1, "stats diverged (incl. flush count)");
-        assert!(lockfree.1.mid_window_flushes > 0);
-    }
-
-    /// Every drain point advances exactly one epoch in lock-free mode.
+    /// Every drain point advances exactly one epoch.
     #[test]
     fn drain_points_advance_epochs() {
         let (_c, rt) = setup(10);
@@ -852,38 +854,229 @@ mod tests {
         assert_eq!(rt.ingest_epochs(), epochs_before + 2);
     }
 
-    /// The sublinear engine's correctness contract: for every policy
-    /// kind, the incrementally indexed engine produces exactly the same
-    /// observable behavior — tick outcomes, cancellations, stats — as the
-    /// naive rebuild-the-world oracle on the same scripted workload.
+    /// The index's correctness contract at runtime level: for every
+    /// policy kind, each non-idle tick of the scripted workload decided
+    /// exactly what the policy reference (`estimate` + `select_naive` +
+    /// `gain_terms`) decides on the same task state — asserted inside
+    /// `drive_scripted` after every such tick.
     #[test]
-    fn indexed_engine_matches_naive_engine() {
-        use crate::config::{PolicyEngine, PolicyKind};
+    fn index_matches_policy_reference_on_every_candidate_tick() {
+        use crate::config::PolicyKind;
         for kind in [
             PolicyKind::MultiObjective,
             PolicyKind::Heuristic,
             PolicyKind::CurrentUsage,
         ] {
-            let naive = drive_scripted(AtroposConfig {
-                policy: kind,
-                policy_engine: PolicyEngine::Naive,
-                ..AtroposConfig::default()
-            });
-            let indexed = drive_scripted(AtroposConfig {
-                policy: kind,
-                policy_engine: PolicyEngine::Indexed,
-                ..AtroposConfig::default()
-            });
-            assert_eq!(naive.0, indexed.0, "tick outcomes diverged for {kind:?}");
-            assert_eq!(naive.1, indexed.1, "stats diverged for {kind:?}");
-            assert!(naive.1.candidates > 0, "workload raised no candidate");
+            let (outcomes, stats) =
+                drive_scripted(AtroposConfig::default().with_policy(kind), Feed::Deferred);
+            assert!(stats.candidates > 0, "workload raised no candidate");
+            assert!(
+                outcomes
+                    .iter()
+                    .any(|o| matches!(o, TickOutcome::ResourceOverload { .. })),
+                "{kind:?}: no resource overload to check"
+            );
         }
+    }
+
+    /// One step of the random op sequence the ingest lemma is proven on.
+    /// Tasks live in eight slots; a slot keeps its last `TaskId` after
+    /// `FreeCancel`, so later events on it are posthumous.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Create(usize),
+        FreeCancel(usize),
+        Trace(usize, u32, u64, EventKind),
+        Progress(usize, u64),
+        UnitStart(usize),
+        UnitFinish(usize),
+        Advance(u64),
+        Tick,
+        Stats,
+        Register,
+        ForceMode(TimestampMode),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let slot = 0usize..8;
+        // Resource ids 0..2 are registered up front, 2 and 3 only once
+        // `Register` ran (events on them before that are ignored).
+        let trace = |kind| {
+            (0usize..8, 0u32..4, 1u64..50).prop_map(move |(s, r, a)| Op::Trace(s, r, a, kind))
+        };
+        prop_oneof![
+            slot.clone().prop_map(Op::Create),
+            slot.clone().prop_map(Op::Create),
+            slot.clone().prop_map(Op::FreeCancel),
+            trace(EventKind::Get),
+            trace(EventKind::Get),
+            trace(EventKind::Free),
+            trace(EventKind::Free),
+            trace(EventKind::SlowBy),
+            trace(EventKind::SlowBy),
+            (slot.clone(), 0u64..120).prop_map(|(s, p)| Op::Progress(s, p)),
+            slot.clone().prop_map(Op::UnitStart),
+            slot.clone().prop_map(Op::UnitStart),
+            slot.prop_map(Op::UnitFinish),
+            (0u64..3 * MS).prop_map(Op::Advance),
+            (0u64..3 * MS).prop_map(Op::Advance),
+            Just(Op::Tick),
+            Just(Op::Stats),
+            Just(Op::Register),
+            any::<bool>().prop_map(|p| Op::ForceMode(if p {
+                TimestampMode::Precise
+            } else {
+                TimestampMode::Sampled
+            })),
+        ]
+    }
+
+    /// Everything one run of an op sequence lets the application observe.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        /// Per tick: the outcome and the timestamp mode it left behind.
+        ticks: Vec<(TickOutcome, TimestampMode)>,
+        stats: RuntimeStats,
+        /// Per-task accounting of the final snapshot.
+        tasks: String,
+    }
+
+    fn run_ops(ops: &[Op], cfg: AtroposConfig, feed: Feed) -> Observed {
+        let clock = Arc::new(VirtualClock::new());
+        let rt = AtroposRuntime::new(cfg, clock.clone());
+        rt.set_cancel_action(|_| {});
+        rt.register_resource("lock", ResourceType::Lock);
+        rt.register_resource("pool", ResourceType::Memory);
+        let mut slots: [Option<TaskId>; 8] = [None; 8];
+        let mut live = [false; 8];
+        let mut ticks = Vec::new();
+        for op in ops {
+            match *op {
+                Op::Create(s) => {
+                    if !live[s] {
+                        slots[s] = Some(rt.create_cancel(Some(s as u64)));
+                        live[s] = true;
+                    }
+                }
+                Op::FreeCancel(s) => {
+                    if let Some(t) = slots[s] {
+                        rt.free_cancel(t);
+                        live[s] = false;
+                    }
+                }
+                Op::Trace(s, r, amount, kind) => {
+                    if let Some(t) = slots[s] {
+                        feed.trace(&rt, t, ResourceId(r), amount, kind);
+                    }
+                }
+                Op::Progress(s, done) => {
+                    if let Some(t) = slots[s] {
+                        rt.report_progress(t, done, 100);
+                    }
+                }
+                Op::UnitStart(s) => {
+                    if let Some(t) = slots[s] {
+                        rt.unit_started(t);
+                    }
+                }
+                Op::UnitFinish(s) => {
+                    if let Some(t) = slots[s] {
+                        rt.unit_finished(t);
+                    }
+                }
+                Op::Advance(ns) => clock.advance_to(SimTime::from_nanos(clock.now_ns() + ns)),
+                Op::Tick => ticks.push((checked_tick(&rt), rt.timestamp_mode())),
+                Op::Stats => {
+                    rt.stats();
+                }
+                Op::Register => {
+                    if rt.inner.lock().resources.len() < 4 {
+                        rt.register_resource("late", ResourceType::Queue);
+                    }
+                }
+                Op::ForceMode(mode) => rt.set_timestamp_mode(mode),
+            }
+        }
+        Observed {
+            ticks,
+            stats: rt.stats(),
+            tasks: format!("{:?}", rt.debug_snapshot().tasks),
+        }
+    }
+
+    fn lemma_config(tiny: bool) -> AtroposConfig {
+        let mut cfg = if tiny {
+            tiny_rings()
+        } else {
+            AtroposConfig::default()
+        };
+        cfg.detector.window_ns = 10 * MS;
+        cfg.detector.slo_latency_ns = MS;
+        cfg.detector.min_contention = 0.05;
+        cfg.cancel_min_interval_ns = 0;
+        cfg
+    }
+
+    proptest! {
+        /// The ingest lemma: on any single-threaded op sequence —
+        /// create/free, get/free/slow_by on live, freed and unregistered
+        /// ids, progress, unit lifecycle, late registration, forced and
+        /// detector-driven timestamp-mode switches, ticks at arbitrary
+        /// times — the sequential reference, the production path drained
+        /// after every emit, and the production path drained only at its
+        /// drain points are observationally identical: tick outcomes,
+        /// timestamp modes, `RuntimeStats` and per-task accounting. Only
+        /// `mid_window_flushes` may differ, and only under deferred
+        /// replay (per-event application never fills a ring).
+        #[test]
+        fn deferred_replay_equals_sequential_application(
+            ops in prop::collection::vec(op_strategy(), 0..1500),
+            tiny in any::<bool>(),
+        ) {
+            let sequential = run_ops(&ops, lemma_config(tiny), Feed::Sequential);
+            prop_assert_eq!(sequential.stats.mid_window_flushes, 0);
+            let every_emit = run_ops(&ops, lemma_config(tiny), Feed::DrainEveryEmit);
+            prop_assert_eq!(&sequential, &every_emit);
+            let mut deferred = run_ops(&ops, lemma_config(tiny), Feed::Deferred);
+            deferred.stats.mid_window_flushes = 0;
+            prop_assert_eq!(&sequential, &deferred);
+        }
+    }
+
+    /// The lemma is only as strong as the sequences it samples: the same
+    /// strategy must reach candidate ticks, cancellations, detector-driven
+    /// mode switches, ignored events and (with tiny rings) mid-window
+    /// flushes.
+    #[test]
+    fn lemma_op_sequences_reach_the_interesting_states() {
+        let mut rng = proptest::TestRng::deterministic("lemma_coverage");
+        let strategy = prop::collection::vec(op_strategy(), 1000..1500);
+        let (mut overloads, mut issued, mut precise, mut ignored, mut flushes) = (0, 0, 0, 0, 0);
+        for case in 0..16 {
+            let ops = strategy.sample(&mut rng);
+            let seen = run_ops(&ops, lemma_config(case % 2 == 0), Feed::Deferred);
+            overloads += seen.stats.resource_overloads;
+            issued += seen.stats.cancel.issued;
+            precise += seen
+                .ticks
+                .iter()
+                .filter(|(_, mode)| *mode == TimestampMode::Precise)
+                .count();
+            ignored += seen.stats.ignored_events;
+            flushes += seen.stats.mid_window_flushes;
+        }
+        assert!(overloads >= 16, "only {overloads} resource overloads");
+        assert!(issued >= 16, "only {issued} cancellations");
+        assert!(precise >= 16, "only {precise} precise-mode ticks");
+        assert!(
+            ignored > 0 && flushes > 0,
+            "{ignored} ignored, {flushes} flushes"
+        );
     }
 
     #[test]
     fn ingest_pending_drains_on_stats() {
         let (_c, rt) = setup(10);
-        assert_eq!(rt.ingest_mode(), IngestMode::LockFree);
         let pool = rt.register_resource("pool", ResourceType::Memory);
         let t = rt.create_cancel(None);
         rt.get_resource(t, pool, 1);

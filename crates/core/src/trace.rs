@@ -8,9 +8,6 @@
 //! precise per-event timestamps for accurate wait/hold measurement, and
 //! back once the overload clears.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{ResourceId, TaskId};
@@ -149,13 +146,13 @@ impl TimestampPolicy {
 ///   otherwise (always the latter if the policy has never sampled).
 ///
 /// No stamp depends on the *other* events in the batch, so a drain can
-/// replay each ingest stripe independently — no global merge or sort —
-/// and still assign every event exactly the stamp direct per-event
-/// ingestion would have. [`TimestampPolicy::commit_batch`] then advances
+/// replay each ingest queue independently — no global merge or sort —
+/// and still assign every event exactly the stamp sequential per-event
+/// application would have. [`TimestampPolicy::commit_batch`] then advances
 /// the policy to the sequential end state (last sample from the batch
 /// maximum, clock reads from the distinct intervals touched).
 ///
-/// Under concurrent producers per-stripe sequences are still monotone
+/// Under concurrent producers per-queue sequences are still monotone
 /// per thread, but no total time order exists in the first place; the
 /// closed form then just picks one valid serialization.
 #[derive(Debug)]
@@ -168,7 +165,7 @@ pub struct BatchStamper {
     records: u64,
     max_now: u64,
     /// Sampled intervals touched; deduped against the previous push so it
-    /// stays one entry per interval per stripe, then fully deduped at
+    /// stays one entry per interval per queue, then fully deduped at
     /// commit.
     intervals: Vec<u64>,
 }
@@ -202,11 +199,11 @@ impl BatchStamper {
 ///
 /// `now` is the raw clock reading at emit time; the shared-vs-precise
 /// timestamp (the [`TimestampPolicy`] stamp) is assigned at drain time by
-/// [`BatchStamper`], which produces the same stamps direct ingestion
-/// would have.
+/// [`BatchStamper`], which produces the same stamps sequential
+/// per-event application would have.
 /// There is deliberately no sequence number: replay needs only per-task
-/// emit order, which the stripe's FIFO order preserves (a task always
-/// maps to the same stripe), and a global sequence would put a shared
+/// emit order, which the queue's FIFO order preserves (a task always
+/// maps to the same queue), and a global sequence would put a shared
 /// atomic back on the hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
@@ -222,172 +219,15 @@ pub struct TraceRecord {
     pub kind: EventKind,
 }
 
-/// Result of [`ShardedIngest::push`] (and its lock-free sibling,
-/// [`LockFreeIngest::push`](crate::lockfree::LockFreeIngest::push)).
+/// Result of [`LockFreeIngest::push`](crate::lockfree::LockFreeIngest::push).
 #[derive(Debug)]
 pub enum PushOutcome {
-    /// The record was appended to its stripe.
+    /// The record was appended to its task's queue.
     Buffered,
-    /// The stripe is at capacity; the record is handed back so the caller
+    /// The queue is at capacity; the record is handed back so the caller
     /// can either flush the buffers and retry or shed load
-    /// ([`ShardedIngest::force_push`]).
+    /// ([`LockFreeIngest::force_push`](crate::lockfree::LockFreeIngest::force_push)).
     Full(TraceRecord),
-}
-
-/// Each stripe gets its own cache lines so producers on different stripes
-/// never false-share.
-#[repr(align(128))]
-struct Stripe {
-    /// Append-only between drains: a plain `Vec`, so the hot-path push is
-    /// a pointer store. Drop-oldest (the rare shed path) pays the O(n)
-    /// front removal instead.
-    buf: Mutex<Vec<TraceRecord>>,
-}
-
-/// Striped, bounded buffers decoupling trace emission from accounting.
-///
-/// The tracing hot path (`get/free/slow_by_resource`) appends a compact
-/// [`TraceRecord`] to one of N stripes under a stripe-local mutex instead
-/// of taking the runtime's global lock and updating per-task accounting
-/// inline. The records are replayed into the accounting state at the
-/// next drain point (`tick`, `stats`, `free_cancel`,
-/// `register_resource`), where the runtime holds its state lock anyway.
-///
-/// Ordering: there is deliberately no cross-stripe order. A task maps to
-/// one stripe for its whole life, so per-task emit order — the only order
-/// the accounting state is sensitive to — is the stripe's FIFO order, and
-/// [`BatchStamper`] assigns timestamps that are independent of the replay
-/// order across stripes. The emit path therefore touches no shared state
-/// at all: one stripe-local lock, one plain counter increment, one
-/// bounded append.
-///
-/// Overflow: when a stripe is full, `push` hands the record back; the
-/// runtime tries a mid-window flush, and if the state lock is busy the
-/// stripe sheds its oldest record ([`ShardedIngest::force_push`]) and the
-/// shed count is folded into `ignored_events` at the next drain.
-pub struct ShardedIngest {
-    stripes: Box<[Stripe]>,
-    capacity: usize,
-    overflow_dropped: AtomicU64,
-}
-
-impl std::fmt::Debug for ShardedIngest {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedIngest")
-            .field("stripes", &self.stripes.len())
-            .field("capacity", &self.capacity)
-            .field("pending", &self.pending())
-            .finish()
-    }
-}
-
-impl ShardedIngest {
-    /// Creates at least `stripes` bounded buffers of `capacity` records
-    /// each. The count rounds up to a power of two so stripe selection is
-    /// a mask instead of an integer division on the emit path.
-    pub fn new(stripes: usize, capacity: usize) -> Self {
-        let stripes = stripes.max(1).next_power_of_two();
-        Self {
-            stripes: (0..stripes)
-                .map(|_| Stripe {
-                    buf: Mutex::new(Vec::with_capacity(capacity.min(1024))),
-                })
-                .collect(),
-            capacity: capacity.max(1),
-            overflow_dropped: AtomicU64::new(0),
-        }
-    }
-
-    #[inline]
-    fn stripe_for(&self, task: TaskId) -> &Stripe {
-        // Task ids are assigned sequentially, so masking the low bits
-        // spreads concurrent tasks evenly across stripes (the stripe
-        // count is always a power of two).
-        &self.stripes[task.0 as usize & (self.stripes.len() - 1)]
-    }
-
-    /// Appends one tracing call to its task's stripe.
-    pub fn push(
-        &self,
-        task: TaskId,
-        rid: ResourceId,
-        amount: u64,
-        kind: EventKind,
-        now: u64,
-    ) -> PushOutcome {
-        let rec = TraceRecord {
-            now,
-            task,
-            rid,
-            amount,
-            kind,
-        };
-        let mut buf = self.stripe_for(task).buf.lock();
-        if buf.len() >= self.capacity {
-            return PushOutcome::Full(rec);
-        }
-        buf.push(rec);
-        PushOutcome::Buffered
-    }
-
-    /// Appends `rec` unconditionally, shedding the stripe's oldest records
-    /// to make room. Shed records count toward
-    /// [`ShardedIngest::take_overflow_dropped`].
-    pub fn force_push(&self, rec: TraceRecord) {
-        let mut buf = self.stripe_for(rec.task).buf.lock();
-        if buf.len() >= self.capacity {
-            let excess = buf.len() + 1 - self.capacity;
-            buf.drain(..excess);
-            self.overflow_dropped
-                .fetch_add(excess as u64, Ordering::Relaxed);
-        }
-        buf.push(rec);
-    }
-
-    /// Empties stripe `i` by swapping its buffer with `scratch`.
-    ///
-    /// This is the zero-merge drain the runtime uses: tasks map to
-    /// stripes statically, so replaying stripes one after another
-    /// preserves every task's event order, and [`BatchStamper`] makes the
-    /// stamps independent of cross-stripe order. The stripe lock is held
-    /// only for the swap, and buffer allocations rotate between stripes
-    /// instead of being freed and regrown.
-    pub fn swap_stripe(&self, i: usize, scratch: &mut Vec<TraceRecord>) {
-        std::mem::swap(&mut *self.stripes[i].buf.lock(), scratch);
-    }
-
-    /// Empties every stripe and returns the records, grouped by stripe
-    /// with each stripe in emit order (for tests and benches; the runtime
-    /// replays via [`ShardedIngest::swap_stripe`] without the
-    /// intermediate allocation).
-    pub fn drain(&self) -> Vec<TraceRecord> {
-        let mut out = Vec::new();
-        for s in self.stripes.iter() {
-            out.append(&mut *s.buf.lock());
-        }
-        out
-    }
-
-    /// Takes (and resets) the count of records shed by overflow since the
-    /// last call.
-    pub fn take_overflow_dropped(&self) -> u64 {
-        self.overflow_dropped.swap(0, Ordering::Relaxed)
-    }
-
-    /// Number of buffered records across all stripes.
-    pub fn pending(&self) -> usize {
-        self.stripes.iter().map(|s| s.buf.lock().len()).sum()
-    }
-
-    /// Number of stripes.
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
-    /// Per-stripe record capacity.
-    pub fn stripe_capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 #[cfg(test)]
@@ -470,113 +310,6 @@ mod tests {
         assert!(sampled.clock_reads() * 100 <= precise.clock_reads());
     }
 
-    fn push_n(ing: &ShardedIngest, n: u64) {
-        for i in 0..n {
-            match ing.push(TaskId(i % 5), ResourceId(0), 1, EventKind::Get, i * 10) {
-                PushOutcome::Buffered => {}
-                PushOutcome::Full(rec) => ing.force_push(rec),
-            }
-        }
-    }
-
-    #[test]
-    fn drain_preserves_per_task_emit_order() {
-        let ing = ShardedIngest::new(4, 64);
-        push_n(&ing, 50);
-        let recs = ing.drain();
-        assert_eq!(recs.len(), 50);
-        // Cross-stripe order is unspecified, but each task's records —
-        // the order the accounting state is sensitive to — appear in
-        // emit order (strictly increasing `now` here).
-        for task in 0..5u64 {
-            let nows: Vec<u64> = recs
-                .iter()
-                .filter(|r| r.task == TaskId(task))
-                .map(|r| r.now)
-                .collect();
-            assert_eq!(nows.len(), 10);
-            assert!(
-                nows.windows(2).all(|w| w[0] < w[1]),
-                "task {task}: {nows:?}"
-            );
-        }
-        assert_eq!(ing.pending(), 0);
-        assert_eq!(ing.take_overflow_dropped(), 0);
-    }
-
-    #[test]
-    fn full_stripe_hands_the_record_back() {
-        let ing = ShardedIngest::new(1, 2);
-        assert!(matches!(
-            ing.push(TaskId(1), ResourceId(0), 1, EventKind::Get, 0),
-            PushOutcome::Buffered
-        ));
-        assert!(matches!(
-            ing.push(TaskId(1), ResourceId(0), 1, EventKind::Free, 1),
-            PushOutcome::Buffered
-        ));
-        let rec = match ing.push(TaskId(1), ResourceId(0), 1, EventKind::SlowBy, 2) {
-            PushOutcome::Full(rec) => rec,
-            other => panic!("expected Full, got {other:?}"),
-        };
-        assert_eq!(rec.now, 2);
-        assert_eq!(ing.pending(), 2);
-        // Force-pushing sheds the oldest record to make room.
-        ing.force_push(rec);
-        assert_eq!(ing.pending(), 2);
-        assert_eq!(ing.take_overflow_dropped(), 1);
-        let recs = ing.drain();
-        assert_eq!(recs[0].now, 1);
-        assert_eq!(recs[1].now, 2);
-    }
-
-    #[test]
-    fn tasks_spread_across_stripes() {
-        let ing = ShardedIngest::new(4, 1);
-        // Four sequential tasks land on four distinct stripes: with
-        // capacity 1 per stripe, all four pushes fit.
-        for t in 0..4u64 {
-            assert!(matches!(
-                ing.push(TaskId(t), ResourceId(0), 1, EventKind::Get, 0),
-                PushOutcome::Buffered
-            ));
-        }
-        assert_eq!(ing.pending(), 4);
-    }
-
-    #[test]
-    fn concurrent_producers_lose_nothing_within_capacity() {
-        use std::sync::Arc;
-        let ing = Arc::new(ShardedIngest::new(8, 10_000));
-        let handles: Vec<_> = (0..4u64)
-            .map(|t| {
-                let ing = ing.clone();
-                std::thread::spawn(move || {
-                    for i in 0..5_000u64 {
-                        match ing.push(TaskId(t), ResourceId(0), 1, EventKind::Get, i) {
-                            PushOutcome::Buffered => {}
-                            PushOutcome::Full(rec) => ing.force_push(rec),
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let recs = ing.drain();
-        assert_eq!(recs.len() as u64 + ing.take_overflow_dropped(), 20_000);
-        // Each producer's records kept their emit order: within a task,
-        // `now` strictly increases.
-        for task in 0..4u64 {
-            let mine: Vec<_> = recs.iter().filter(|r| r.task == TaskId(task)).collect();
-            assert_eq!(mine.len(), 5_000);
-            for w in mine.windows(2) {
-                assert!(w[0].now < w[1].now);
-            }
-        }
-    }
-
     /// The closed-form batch stamper must agree with the sequential
     /// policy on every monotone emission sequence — per-record stamps,
     /// final sample state, and clock-read count — even when records are
@@ -650,25 +383,5 @@ mod tests {
         p.commit_batch(stamper);
         assert_eq!(p.clock_reads(), before_reads);
         assert_eq!(p.stamp(5_600), 5_000);
-    }
-
-    #[test]
-    fn swap_stripe_reuses_the_scratch_allocation() {
-        let ing = ShardedIngest::new(2, 64);
-        for t in 0..4u64 {
-            ing.push(TaskId(t), ResourceId(0), 1, EventKind::Get, t);
-        }
-        let mut scratch = Vec::new();
-        let mut seen = 0;
-        for i in 0..ing.stripe_count() {
-            ing.swap_stripe(i, &mut scratch);
-            seen += scratch.len();
-            scratch.clear();
-        }
-        assert_eq!(seen, 4);
-        assert_eq!(ing.pending(), 0);
-        // The stripe buffers received the (cleared) scratch in exchange.
-        ing.push(TaskId(0), ResourceId(0), 1, EventKind::Get, 9);
-        assert_eq!(ing.pending(), 1);
     }
 }

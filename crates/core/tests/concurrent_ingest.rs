@@ -1,17 +1,17 @@
-//! Multi-threaded stress test for sharded trace ingestion.
+//! Multi-threaded stress test for buffered trace ingestion.
 //!
 //! Eight producer threads hammer the tracing API on their own tasks while
 //! a ticker drains concurrently and a churn thread creates and frees
 //! tasks (so replay races against task removal). The accounting contract
 //! under this contention is conservation: every emitted event is counted
 //! exactly once — applied (`trace_events`) or ignored (unknown task or
-//! resource at replay time, or shed by stripe overflow while the state
+//! resource at replay time, or shed by ring overflow while the state
 //! lock was busy) — and no task record leaks.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use atropos::{AtroposConfig, AtroposRuntime, IngestMode, ResourceId, ResourceType};
+use atropos::{AtroposConfig, AtroposRuntime, ResourceId, ResourceType};
 use atropos_sim::SystemClock;
 
 const PRODUCERS: u64 = 8;
@@ -19,24 +19,13 @@ const EVENTS_PER_PRODUCER: u64 = 10_000;
 const CHURN_TASKS: u64 = 2_000;
 
 #[test]
-fn concurrent_producers_conserve_event_accounting_sharded() {
-    concurrent_producers_conserve_event_accounting(IngestMode::Sharded);
-}
-
-#[test]
-fn concurrent_producers_conserve_event_accounting_lockfree() {
-    concurrent_producers_conserve_event_accounting(IngestMode::LockFree);
-}
-
-fn concurrent_producers_conserve_event_accounting(mode: IngestMode) {
+fn concurrent_producers_conserve_event_accounting() {
     let clock = Arc::new(SystemClock::new());
     let cfg = AtroposConfig {
-        ingest_mode: mode,
         ingest_stripes: 4,
         // Far smaller than the event volume so overflow handling (the
         // mid-window flush and, when the ticker holds the state lock,
-        // shedding — drop-oldest under Sharded, shed-newest under
-        // LockFree) is actually exercised.
+        // shedding the incoming record) is actually exercised.
         ingest_stripe_capacity: 128,
         ..AtroposConfig::default()
     };
@@ -127,8 +116,8 @@ fn concurrent_producers_conserve_event_accounting(mode: IngestMode) {
     // At least the quarter aimed at the unregistered resource is ignored.
     assert!(stats.ignored_events >= PRODUCERS * EVENTS_PER_PRODUCER / 4);
     // Most of the valid traffic actually landed in the accounting: the
-    // buffers are small, but every stripe-full either flushes inline or
-    // sheds only that stripe's oldest records.
+    // buffers are small, but every full ring either flushes inline or
+    // sheds only the record that did not fit.
     assert!(
         stats.trace_events > 0,
         "no events survived to the accounting state"

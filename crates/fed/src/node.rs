@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use atropos::{AtroposConfig, AtroposRuntime, IngestMode};
+use atropos::{AtroposConfig, AtroposRuntime};
 use atropos_chaos::{FaultInjector, FaultPlan};
 use atropos_obs::Observer;
 use atropos_sim::Clock;
@@ -23,13 +23,12 @@ const MS: u64 = 1_000_000;
 
 /// The runtime configuration every federated node runs: the scripted
 /// chaos geometry (100 ms detection windows, 10 ms SLO, no cancel
-/// back-off, sharded ingest).
+/// back-off).
 pub fn fed_runtime_config() -> AtroposConfig {
     let mut cfg = AtroposConfig::default();
     cfg.detector.window_ns = 100 * MS;
     cfg.detector.slo_latency_ns = 10 * MS;
     cfg.cancel_min_interval_ns = 0;
-    cfg.ingest_mode = IngestMode::Sharded;
     cfg
 }
 

@@ -462,32 +462,45 @@ mod tests {
         );
     }
 
-    /// Scenario-level determinism contract for the sharded ingest path:
-    /// a full case replay under sharded, batch-drained tracing produces
-    /// exactly the numbers the direct global-lock path produces, so every
-    /// experiment's pass/fail pattern is independent of the ingest mode.
+    /// Scenario-level contract for the ingest path: a full case replay
+    /// with trace events buffered until the next drain point produces
+    /// exactly the numbers per-event application (a drain after every
+    /// emit) produces, so every experiment's pass/fail pattern is
+    /// independent of when the runtime folds events in.
     #[test]
-    fn ingest_mode_does_not_change_case_results() {
+    fn deferred_ingest_does_not_change_case_results() {
+        use atropos_substrate::DrainEveryEmit;
+        use std::sync::Arc;
         let case = &all_cases()[0];
         let rc = RunConfig::quick(7);
         let baseline = calibrate(case, &rc);
-        let run_mode = |mode: atropos::IngestMode| {
+        let run = |drain_every_emit: bool| {
             let built = case.build(&rc.case_params(), true);
-            let mut cfg = AtroposConfig::default().with_slo_ns(baseline.slo_ns);
-            cfg.ingest_mode = mode;
+            let cfg = AtroposConfig::default().with_slo_ns(baseline.slo_ns);
             SimServer::new_with(built.server, built.workload, |clock, groups| {
-                Box::new(AtroposController::new(cfg, clock, groups, true))
+                Box::new(AtroposController::new_with_middleware(
+                    cfg,
+                    clock,
+                    groups,
+                    true,
+                    |port| {
+                        if drain_every_emit {
+                            Arc::new(DrainEveryEmit(port))
+                        } else {
+                            port
+                        }
+                    },
+                ))
             })
             .run(rc.duration, rc.warmup)
         };
-        let direct = run_mode(atropos::IngestMode::Direct);
-        for mode in [atropos::IngestMode::Sharded, atropos::IngestMode::LockFree] {
-            let buffered = run_mode(mode);
-            assert_eq!(direct.completed, buffered.completed, "{mode:?}");
-            assert_eq!(direct.dropped, buffered.dropped, "{mode:?}");
-            assert_eq!(direct.canceled, buffered.canceled, "{mode:?}");
-            assert_eq!(direct.offered, buffered.offered, "{mode:?}");
-            assert_eq!(direct.latency.p99(), buffered.latency.p99(), "{mode:?}");
-        }
+        let per_event = run(true);
+        let deferred = run(false);
+        assert_eq!(per_event.completed, deferred.completed);
+        assert_eq!(per_event.dropped, deferred.dropped);
+        assert_eq!(per_event.canceled, deferred.canceled);
+        assert_eq!(per_event.offered, deferred.offered);
+        assert_eq!(per_event.latency.p99(), deferred.latency.p99());
+        assert!(per_event.canceled > 0, "case raised no cancellation");
     }
 }

@@ -37,6 +37,6 @@ pub mod scenario;
 
 pub use fed::{EdgeIdentity, EdgeStats, FedEdge, FrameError, NodeId, FED_KEY_BASE, MAX_HOPS};
 pub use ids::{ClassId, ClientId, LockId, PoolId, QueueId, RequestId};
-pub use port::{CancelFn, CancelInitiator, ProbeCounts, ProbePort, RuntimePort};
+pub use port::{CancelFn, CancelInitiator, DrainEveryEmit, ProbeCounts, ProbePort, RuntimePort};
 pub use protocol::{Action, ResourceEvent, TraceKind};
 pub use scenario::{ScenarioDescriptor, ScenarioFamily};

@@ -320,6 +320,91 @@ impl RuntimePort for ProbePort {
     }
 }
 
+/// The ingest reference as middleware: forwards every call and drains
+/// the runtime's buffered trace events after each tracing call, so every
+/// event is applied before the next call returns (per-event application,
+/// the production path at batch size one). The ingest differentials run
+/// a corpus once through this and once bare and demand identical
+/// outcomes: deferred batch replay ≡ immediate application. Must sit
+/// directly on the runtime — a layer below it that holds events back
+/// would re-batch them.
+///
+/// The port has no drain verb, so the drain is `free_cancel` of
+/// `TaskId(0)`: `free_cancel` is a drain point, unknown ids are ignored,
+/// and the runtime issues ids from 1.
+pub struct DrainEveryEmit(pub Arc<dyn RuntimePort>);
+
+impl DrainEveryEmit {
+    fn drain(&self) {
+        self.0.free_cancel(TaskId(0));
+    }
+}
+
+impl RuntimePort for DrainEveryEmit {
+    fn register_resource(&self, name: &str, rtype: ResourceType) -> ResourceId {
+        self.0.register_resource(name, rtype)
+    }
+
+    fn create_cancel(&self, key: Option<u64>) -> TaskId {
+        self.0.create_cancel(key)
+    }
+
+    fn free_cancel(&self, task: TaskId) {
+        self.0.free_cancel(task)
+    }
+
+    fn set_cancellable(&self, task: TaskId, cancellable: bool) {
+        self.0.set_cancellable(task, cancellable)
+    }
+
+    fn mark_background(&self, task: TaskId) {
+        self.0.mark_background(task)
+    }
+
+    fn install_initiator(&self, initiator: Arc<dyn CancelInitiator>) {
+        self.0.install_initiator(initiator)
+    }
+
+    fn get(&self, task: TaskId, rid: ResourceId, amount: u64) {
+        self.0.get(task, rid, amount);
+        self.drain();
+    }
+
+    fn free(&self, task: TaskId, rid: ResourceId, amount: u64) {
+        self.0.free(task, rid, amount);
+        self.drain();
+    }
+
+    fn slow_by(&self, task: TaskId, rid: ResourceId, amount: u64) {
+        self.0.slow_by(task, rid, amount);
+        self.drain();
+    }
+
+    fn progress(&self, task: TaskId, done: u64, total: u64) {
+        self.0.progress(task, done, total)
+    }
+
+    fn unit_started(&self, task: TaskId) {
+        self.0.unit_started(task)
+    }
+
+    fn unit_finished(&self, task: TaskId) -> Option<u64> {
+        self.0.unit_finished(task)
+    }
+
+    fn record_drop(&self) {
+        self.0.record_drop()
+    }
+
+    fn tick(&self) -> TickOutcome {
+        self.0.tick()
+    }
+
+    fn clock(&self) -> Arc<dyn Clock> {
+        self.0.clock()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,5 +479,23 @@ mod tests {
         );
         // Counted and forwarded: the runtime saw the same traffic.
         assert_eq!(rt.stats().trace_events, 4);
+    }
+
+    #[test]
+    fn drain_every_emit_leaves_nothing_buffered() {
+        let rt = runtime();
+        let port = DrainEveryEmit(rt.clone());
+        let rid = port.register_resource("pool", ResourceType::Memory);
+        let t = port.create_cancel(None);
+        port.get(t, rid, 3);
+        assert_eq!(rt.ingest_pending(), 0);
+        port.slow_by(t, rid, 1);
+        assert_eq!(rt.ingest_pending(), 0);
+        port.free(t, rid, 3);
+        assert_eq!(rt.ingest_pending(), 0);
+        // The drain itself is invisible: same counts, the task survives.
+        assert_eq!(rt.stats_relaxed().trace_events, 3);
+        assert_eq!(rt.stats_relaxed().ignored_events, 0);
+        assert_eq!(rt.task_count(), 1);
     }
 }
