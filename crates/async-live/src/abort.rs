@@ -1,144 +1,46 @@
 //! The future-drop cancel initiator: task keys → [`AbortHandle`]s.
 //!
 //! This is the third initiator category from the paper's survey. The sim
-//! substrate unwinds requests in virtual time, the thread substrate raises
-//! a cooperative `CancelToken` that the task must poll — here cancellation
+//! substrate unwinds requests in virtual time, the thread shell raises a
+//! cooperative `CancelToken` that the task must poll — here cancellation
 //! is **detachment**: the initiator aborts the executor task and the
-//! framework never hears from it again. No handler code checks any flag;
-//! holds unwind purely through RAII guard drops when the future is
-//! destroyed.
-//!
-//! ## Initiators only signal
+//! framework never hears from it again. The key→handle map and its
+//! delivery accounting are the serving core's [`Registry`]; this file only
+//! says what a signal is.
 //!
 //! `AtroposRuntime::tick` invokes cancel initiators while holding its
 //! internal decision lock. [`AbortHandle::abort`] is safe to call there
 //! because it only flags the slot and requeues — the future drop (whose
-//! guard destructors re-enter the port via `free`/`free_cancel`) always
-//! happens on an executor worker. See the executor module docs.
+//! destructors re-enter the port via `free`/`free_cancel`) always happens
+//! on an executor worker. See the executor module docs.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use atropos::TaskKey;
-use atropos_sim::Clock;
-use atropos_substrate::{CancelInitiator, RuntimePort};
-use parking_lot::Mutex;
+use atropos_live::{Registry, Signal};
 
 use crate::executor::AbortHandle;
 
+impl Signal for AbortHandle {
+    /// Detaches the task. Only the first abort of a live task is a
+    /// delivery: a task that already finished, or was already aborted, is
+    /// a miss — the same race the thread registry tolerates between KILL
+    /// and session end.
+    fn signal(&self) -> bool {
+        self.abort()
+    }
+}
+
 /// Maps application task keys to the [`AbortHandle`] of the executor task
-/// serving them — the async analog of the thread substrate's
-/// `CancelRegistry`, with the same delivery accounting.
-#[derive(Default)]
-pub struct AbortRegistry {
-    handles: Mutex<HashMap<u64, AbortHandle>>,
-    /// Cancellations that aborted a live task.
-    delivered: AtomicU64,
-    /// Cancellations whose key had no live handle (request already
-    /// finished, or aborted twice): counted, not an error — the same race
-    /// the thread registry tolerates between KILL and session end.
-    misses: AtomicU64,
-    /// Runtime-clock stamp (ns) of the first delivered abort; 0 = none.
-    first_delivery_ns: AtomicU64,
-}
-
-impl AbortRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers the handle serving `key`. Call *before* launching the
-    /// future (the executor's reserve/launch split exists so this cannot
-    /// race with a fast completion).
-    pub fn register(&self, key: u64, handle: AbortHandle) {
-        self.handles.lock().insert(key, handle);
-    }
-
-    /// Forgets the handle for `key` (the task's scope ended on its own).
-    pub fn unregister(&self, key: u64) {
-        self.handles.lock().remove(&key);
-    }
-
-    /// Aborts the task registered under `key`, if any. Returns whether a
-    /// live task was detached. The handle is cloned out of the registry
-    /// lock first: `abort` takes the executor lock and lock nesting here
-    /// would order registry → executor against unrelated callers.
-    pub fn cancel(&self, key: u64, now_ns: u64) -> bool {
-        let handle = self.handles.lock().remove(&key);
-        let detached = handle.map(|h| h.abort()).unwrap_or(false);
-        if detached {
-            self.delivered.fetch_add(1, Ordering::Relaxed);
-            let _ = self.first_delivery_ns.compare_exchange(
-                0,
-                now_ns.max(1),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            );
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        detached
-    }
-
-    /// Installs this registry as the cancel initiator through `port`, so
-    /// chaos middleware stacked over the runtime interposes on abort
-    /// deliveries exactly as it does on token deliveries.
-    pub fn install_port(self: &Arc<Self>, port: &Arc<dyn RuntimePort>) {
-        port.install_initiator(Arc::new(AbortInitiator {
-            registry: self.clone(),
-            clock: port.clock(),
-        }));
-    }
-
-    /// Aborts that detached a live task.
-    pub fn delivered(&self) -> u64 {
-        self.delivered.load(Ordering::Relaxed)
-    }
-
-    /// Cancellations that found no live handle.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Runtime-clock stamp of the first delivered abort, if any.
-    pub fn first_delivery_ns(&self) -> Option<u64> {
-        match self.first_delivery_ns.load(Ordering::Acquire) {
-            0 => None,
-            ns => Some(ns),
-        }
-    }
-
-    /// Number of currently registered handles.
-    pub fn len(&self) -> usize {
-        self.handles.lock().len()
-    }
-
-    /// True if no handles are registered.
-    pub fn is_empty(&self) -> bool {
-        self.handles.lock().is_empty()
-    }
-}
-
-/// The registry wearing the [`CancelInitiator`] hat. Reexec and parked
-/// drops stay no-ops: a detached future is gone, and the open-loop
-/// generator offers fresh load instead of replaying.
-struct AbortInitiator {
-    registry: Arc<AbortRegistry>,
-    clock: Arc<dyn Clock>,
-}
-
-impl CancelInitiator for AbortInitiator {
-    fn cancel(&self, key: TaskKey) {
-        self.registry.cancel(key.0, self.clock.now_ns());
-    }
-}
+/// serving them. Register the handle *before* launching the future (the
+/// executor's reserve/launch split exists so this cannot race with a fast
+/// completion).
+pub type AbortRegistry = Registry<AbortHandle>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::executor::Executor;
+    use atropos::TaskKey;
+    use atropos_substrate::RuntimePort;
+    use std::sync::Arc;
 
     #[test]
     fn cancel_aborts_registered_task() {
@@ -153,15 +55,8 @@ mod tests {
         assert_eq!(ex.live_tasks(), 0);
         assert_eq!(reg.delivered(), 1);
         assert_eq!(reg.first_delivery_ns(), Some(123));
-        assert!(reg.is_empty(), "delivery consumes the handle");
-    }
-
-    #[test]
-    fn cancel_without_handle_is_a_miss() {
-        let reg = AbortRegistry::new();
-        assert!(!reg.cancel(9, 5));
-        assert_eq!(reg.misses(), 1);
-        assert_eq!(reg.first_delivery_ns(), None);
+        assert!(!reg.cancel(7, 456), "a second abort is not a delivery");
+        assert_eq!((reg.delivered(), reg.misses()), (1, 1));
     }
 
     #[test]
@@ -172,8 +67,7 @@ mod tests {
         reg.register(1, handle.clone());
         ex.launch(&handle, async {});
         assert!(ex.poll_one()); // completes
-        reg.unregister(1);
-        assert!(!reg.cancel(1, 10));
+        assert!(!reg.cancel(1, 10), "the handle outlived its task");
         assert_eq!(reg.delivered(), 0);
         assert_eq!(reg.misses(), 1);
     }

@@ -1,5 +1,6 @@
-//! The end-to-end async harness: wire the executor, timer, server, load
-//! generator and supervisor together for one wall-clock run.
+//! The async shell as a [`Serving`]: the task pool with its executor and
+//! timer, started and torn down around the serving core's one run
+//! sequence ([`run_on`]).
 //!
 //! Deliberately the same surface as `atropos-live`'s harness — same
 //! [`LiveConfig`], same [`ControlMode`], same [`LiveReport`] — so the
@@ -8,200 +9,82 @@
 //! differs underneath: requests are futures on the hand-rolled executor,
 //! and in [`ControlMode::Atropos`] the installed initiator is the
 //! [`AbortRegistry`] — cancellation is future drop, not a token.
+//! Middleware goes over a run through `run_on::<AsyncServer>`.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use atropos::ticker::Ticker;
 use atropos::AtroposRuntime;
-use atropos_live::{
-    assemble_report, live_atropos_config, ControlMode, LiveConfig, LiveReport, ReportInputs,
-    Request, RequestClass, CULPRIT_KEY_BASE,
-};
-use atropos_sim::SystemClock;
-use atropos_substrate::{RuntimePort, ScenarioDescriptor};
+use atropos_live::{run_on, ControlMode, LiveConfig, LiveReport, Request, ServerCore, Serving};
+use atropos_substrate::RuntimePort;
 
 use crate::abort::AbortRegistry;
-use crate::executor::Executor;
+use crate::executor::{AbortHandle, Executor};
 use crate::server::{AsyncServerCtx, TaskPool};
 use crate::timer::Timer;
 
-/// Open-loop load generation against the task pool: request `n` is due at
-/// `start + n * interarrival` whether or not the server keeps up; backlog
-/// queues in the pool as visible latency. Culprits inject once at
-/// `culprit_after`, then every `culprit_every` if configured — the same
-/// schedule and key discipline as the thread substrate's generator.
-pub fn generate(pool: &Arc<TaskPool>) -> u64 {
-    let ctx = pool.ctx().clone();
-    let cfg = ctx.cfg.clone();
-    let start = Instant::now();
-    let mut offered = 0u64;
-    let mut seq = 0u64;
-    let mut culprit_seq = 0u64;
-    let mut next_culprit = Some(cfg.culprit_after);
-    while !ctx.stopping() {
-        let due = cfg.interarrival * seq as u32;
-        let elapsed = start.elapsed();
-        if due > elapsed {
-            std::thread::sleep(due - elapsed);
-            if ctx.stopping() {
-                break;
-            }
-        }
-        if let Some(at) = next_culprit {
-            if start.elapsed() >= at {
-                let accepted = pool.submit(Request {
-                    class: RequestClass::Culprit(cfg.culprit_kind),
-                    key: CULPRIT_KEY_BASE + culprit_seq,
-                    enqueued_ns: ctx.clock.now_ns(),
-                });
-                if accepted {
-                    offered += 1;
-                }
-                culprit_seq += 1;
-                next_culprit = cfg.culprit_every.map(|every| at + every);
-            }
-        }
-        let accepted = pool.submit(Request {
-            class: RequestClass::Normal,
-            key: seq,
-            enqueued_ns: ctx.clock.now_ns(),
-        });
-        if accepted {
-            offered += 1;
-        }
-        seq += 1;
+/// The async shell, started: a [`TaskPool`] over `cfg.workers` executor
+/// threads plus the timer thread.
+pub struct AsyncServer(Arc<TaskPool>);
+
+impl Serving for AsyncServer {
+    type Handle = AbortHandle;
+
+    fn start(
+        rt: Arc<AtroposRuntime>,
+        port: Arc<dyn RuntimePort>,
+        registry: Arc<AbortRegistry>,
+        cfg: LiveConfig,
+    ) -> Self {
+        let executor = Arc::new(Executor::new(cfg.workers.max(1)));
+        let ctx = AsyncServerCtx::with_port(rt, port, registry, Timer::spawn(), cfg);
+        Self(TaskPool::new(Arc::new(ctx), executor))
     }
-    ctx.metrics.offered.fetch_add(offered, Ordering::Relaxed);
-    offered
+
+    fn core(&self) -> &ServerCore {
+        self.0.ctx()
+    }
+
+    fn submit(&self, req: Request) -> bool {
+        self.0.submit(req)
+    }
+
+    fn drain(&self) {
+        self.0.close();
+        // Generous bound: backlog service plus one full culprit hold.
+        let cfg = &self.0.ctx().cfg;
+        let bound = cfg.run_for + cfg.culprit_hold + Duration::from_secs(10);
+        let drained = self.0.wait_drained(bound);
+        debug_assert!(drained, "async pool failed to drain");
+    }
+
+    /// Executor shutdown drops any straggler future, whose scope re-enters
+    /// the port — so it runs only after the supervisor has stopped.
+    fn teardown(self) {
+        self.0.shut_down();
+    }
 }
 
-/// Runs one complete wall-clock async serving session and reports it.
+/// Runs one complete wall-clock async serving session, straight over the
+/// runtime, and reports it.
 pub fn run(cfg: LiveConfig, mode: ControlMode) -> LiveReport {
-    run_with(cfg, mode, |port| port)
-}
-
-/// Like [`run`], but the server emits through `wrap(runtime)` — the hook
-/// where chaos middleware is stacked over an async run, unchanged from
-/// the thread substrate. The initiator installs and the supervisor ticks
-/// *through* the wrapped port.
-///
-/// Shutdown ordering (each step depends on the previous): offered load
-/// stops, the stop flag ends culprit holds at their next chunk, the pool
-/// closes and drains the backlog (every accepted request is measured),
-/// the supervisor stops ticking, and only then do the executor and timer
-/// shut down — a tick must never race a dead executor, and executor
-/// shutdown drops any straggler future whose scope re-enters the port.
-pub fn run_with(
-    cfg: LiveConfig,
-    mode: ControlMode,
-    wrap: impl FnOnce(Arc<dyn RuntimePort>) -> Arc<dyn RuntimePort>,
-) -> LiveReport {
-    run_instrumented(cfg, mode, wrap).0
-}
-
-/// Like [`run_with`], but also hands back the underlying runtime so a
-/// checker can take a [`DebugSnapshot`](atropos::DebugSnapshot) of the
-/// quiesced state — the chaos fault leg validates its invariants against
-/// this after the report is in.
-pub fn run_instrumented(
-    cfg: LiveConfig,
-    mode: ControlMode,
-    wrap: impl FnOnce(Arc<dyn RuntimePort>) -> Arc<dyn RuntimePort>,
-) -> (LiveReport, Arc<AtroposRuntime>) {
-    let clock = Arc::new(SystemClock::new());
-    let atropos_cfg = match &mode {
-        ControlMode::Atropos(c) => c.clone(),
-        ControlMode::NoControl => live_atropos_config(),
-    };
-    let rt = Arc::new(AtroposRuntime::new(atropos_cfg, clock));
-    let port = wrap(rt.clone());
-    let registry = Arc::new(AbortRegistry::new());
-    let obs = atropos_obs::Observer::install(&rt, atropos_obs::DEFAULT_RING_CAPACITY);
-    let controlled = matches!(mode, ControlMode::Atropos(_));
-    if controlled {
-        registry.install_port(&port);
-    }
-    let timer = Timer::spawn();
-    let executor = Arc::new(Executor::new(cfg.workers.max(1)));
-    let ctx = Arc::new(AsyncServerCtx::with_port(
-        rt.clone(),
-        port.clone(),
-        registry.clone(),
-        timer.clone(),
-        cfg.clone(),
-    ));
-    let pool = TaskPool::new(ctx.clone(), executor.clone());
-    let mut ticker = controlled.then(|| {
-        let tick_port = port.clone();
-        Ticker::spawn_fn(move || tick_port.tick(), cfg.tick_period, |_| {})
-    });
-
-    let gen_pool = pool.clone();
-    let generator = std::thread::Builder::new()
-        .name("async-loadgen".into())
-        .spawn(move || generate(&gen_pool))
-        .expect("spawn loadgen");
-
-    std::thread::sleep(cfg.run_for);
-    ctx.stop.store(true, Ordering::Release);
-    generator.join().expect("loadgen panicked");
-    pool.close();
-    // Generous drain bound: backlog service plus one full culprit hold.
-    let drained = pool.wait_drained(cfg.run_for + cfg.culprit_hold + Duration::from_secs(10));
-    debug_assert!(drained, "async pool failed to drain");
-
-    let ticks = match ticker.as_mut() {
-        Some(t) => {
-            t.stop();
-            t.ticks()
-        }
-        None => 0,
-    };
-    executor.shutdown();
-    timer.shutdown();
-
-    let inputs = ReportInputs {
-        first_delivery_ns: registry.first_delivery_ns(),
-        delivered: registry.delivered(),
-        first_culprit_start_ns: ctx.metrics.first_culprit_start_ns.load(Ordering::Acquire),
-        offered: ctx.metrics.offered.load(Ordering::Relaxed),
-        culprits_started: ctx.metrics.culprits_started.load(Ordering::Relaxed),
-        culprits_canceled: ctx.metrics.culprits_canceled.load(Ordering::Relaxed),
-        ticks,
-    };
-    let report = assemble_report(
-        &rt,
-        &obs,
-        &ctx.metrics.victim.lock(),
-        &ctx.metrics.culprit.lock(),
-        inputs,
-    );
-    (report, rt)
-}
-
-/// Runs one async session at a [`ScenarioDescriptor`]'s pinned geometry —
-/// the descriptor-file entry point the differential and capacity
-/// harnesses share.
-pub fn run_descriptor(d: &ScenarioDescriptor, mode: ControlMode) -> LiveReport {
-    run(LiveConfig::from_scenario(d), mode)
+    run_on::<AsyncServer>(cfg, mode, |port| port).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atropos_live::ThreadServer;
 
-    /// A short no-culprit, no-control smoke run: the async harness serves
-    /// load, drains cleanly, and measures sane latencies.
-    #[test]
-    fn smoke_run_without_culprit() {
+    /// A short no-culprit, no-control smoke run on shell `S`: the harness
+    /// serves load, drains cleanly, and measures sane latencies.
+    fn smoke<S: Serving>() {
         let cfg = LiveConfig {
             run_for: Duration::from_millis(300),
             culprit_after: Duration::from_secs(3600), // never
             ..LiveConfig::default()
         };
-        let report = run(cfg, ControlMode::NoControl);
+        let (report, _rt) = run_on::<S>(cfg, ControlMode::NoControl, |port| port);
         assert!(report.victim.count >= 50, "served {}", report.victim.count);
         assert_eq!(report.culprits_started, 0);
         assert_eq!(report.culprits_canceled, 0);
@@ -210,5 +93,11 @@ mod tests {
         assert!(report.victim.p99_ns > 0);
         // Backlog fully drained: offered == completed.
         assert_eq!(report.offered, report.victim.count);
+    }
+
+    #[test]
+    fn smoke_run_without_culprit() {
+        smoke::<ThreadServer>();
+        smoke::<AsyncServer>();
     }
 }

@@ -1,73 +1,47 @@
-//! The async mini-server: a bounded task pool serving classed requests
-//! over the async traced resources.
+//! The async shell: a bounded task pool running the serving core's
+//! request script as futures.
 //!
-//! Structurally the mirror of `atropos-live`'s worker pool — same
-//! [`Request`]/[`RequestClass`] vocabulary, same culprit families, same
-//! open-loop admission — but requests are *futures* on the hand-rolled
-//! [`Executor`], bounded by an admission gate of `cfg.workers` concurrent
-//! tasks instead of `cfg.workers` threads. The cap matters for the
-//! cross-substrate differential: it keeps the runtime-visible task
-//! footprint (created/parked/running units) identical to the thread
-//! substrate, so blame and policy see the same shape of system.
+//! Same [`Request`] vocabulary, same open-loop admission and the same
+//! [`serve`] script as the thread shell — but requests are *futures* on
+//! the hand-rolled [`Executor`], bounded by an admission gate of
+//! `cfg.workers` concurrent tasks instead of `cfg.workers` threads. The
+//! cap matters for the cross-substrate differential: it keeps the
+//! runtime-visible task footprint (created/parked/running units)
+//! identical to the thread shell, so blame and policy see the same shape
+//! of system.
 //!
-//! The behavioral difference is cancellation. There is **no cancel token
-//! anywhere in this crate**: culprit handlers never check a flag to
-//! unwind. Every request's [`AbortHandle`] is registered with the
-//! [`AbortRegistry`](crate::abort::AbortRegistry) before launch, and a
-//! runtime cancellation detaches the future mid-`await`. Cleanup is
-//! carried entirely by destructors — the async lock guards and ticket
-//! permits release their holds, and [`TaskScope`] settles the unit with
-//! the port (`record_drop` + `free_cancel` for an abort, `unit_finished` +
-//! `free_cancel` for a completion) and re-admits backlog.
-//!
-//! The `ctx.stopping()` checks inside culprit hold loops are *shutdown*
-//! plumbing, not cancellation: they bound the run when the harness ends
-//! and are deliberately identical to the thread substrate's stop flag.
+//! There is **no cancel token anywhere in this crate** ([`PoolShell`]):
+//! every request's [`AbortHandle`](crate::executor::AbortHandle) is
+//! registered with the [`AbortRegistry`] before launch, and a runtime
+//! cancellation detaches the future mid-`await`. Cleanup is carried
+//! entirely by destructors — gate permits release their holds, the
+//! [`TaskScope`] settles the unit, and the shell's own drop re-admits
+//! backlog.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::future::Future;
+use std::ops::Deref;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use atropos::{AtroposRuntime, TaskId};
-use atropos_live::{CulpritKind, LiveConfig, Request, RequestClass, ServerMetrics};
-use atropos_sim::Clock;
+use atropos::AtroposRuntime;
+use atropos_live::server::serve;
+use atropos_live::{LiveConfig, Request, ServerCore, Shell, TaskScope};
 use atropos_substrate::RuntimePort;
 use parking_lot::{Condvar, Mutex};
 
 use crate::abort::AbortRegistry;
 use crate::executor::Executor;
-use crate::resources::{AsyncLruBuffer, AsyncTicketSemaphore, AsyncTracedLock};
 use crate::timer::Timer;
 
-/// Everything a request future needs, bundled for `Arc` sharing — the
-/// async twin of `atropos-live`'s `ServerCtx`.
+/// Everything a request future needs, bundled for `Arc` sharing: the
+/// serving core (reached by deref) plus the async shell's own two pieces.
 pub struct AsyncServerCtx {
-    /// The concrete runtime, kept for introspection (stats, snapshots).
-    pub rt: Arc<AtroposRuntime>,
-    /// The port every component emits through; under fault injection it
-    /// is a middleware stack ending at `rt`.
-    pub port: Arc<dyn RuntimePort>,
-    /// The runtime's clock (latency stamps comparable to cancel stamps).
-    pub clock: Arc<dyn Clock>,
+    core: Arc<ServerCore>,
     /// Abort registry; installed as the cancel initiator in Atropos mode.
     pub registry: Arc<AbortRegistry>,
-    /// The shared table lock (LOCK resource).
-    pub table: AsyncTracedLock,
-    /// Concurrency tickets (QUEUE resource).
-    pub tickets: AsyncTicketSemaphore,
-    /// The LRU page buffer (MEMORY resource).
-    pub buffer: AsyncLruBuffer,
     /// Wall-clock sleeps for service times and miss penalties.
     pub timer: Arc<Timer>,
-    /// Global shutdown flag: culprit hold loops end at their next chunk.
-    pub stop: AtomicBool,
-    /// Service-time and workload parameters (shared with the thread
-    /// substrate so differentials pin both identically).
-    pub cfg: LiveConfig,
-    /// Completion metrics (the live crate's, reused verbatim;
-    /// `culprits_canceled` counts aborted-and-dropped culprits here).
-    pub metrics: ServerMetrics,
 }
 
 impl AsyncServerCtx {
@@ -80,34 +54,18 @@ impl AsyncServerCtx {
         timer: Arc<Timer>,
         cfg: LiveConfig,
     ) -> Self {
-        let clock = rt.clock();
-        let table = AsyncTracedLock::new(port.clone(), "table_lock");
-        let tickets = AsyncTicketSemaphore::new(port.clone(), "tickets", cfg.tickets);
-        let buffer = AsyncLruBuffer::new(
-            port.clone(),
-            "buffer_pool",
-            cfg.lru_capacity,
-            timer.clone(),
-            cfg.miss_penalty,
-        );
         Self {
-            rt,
-            port,
-            clock,
+            core: Arc::new(ServerCore::new(&rt, port, cfg)),
             registry,
-            table,
-            tickets,
-            buffer,
             timer,
-            stop: AtomicBool::new(false),
-            cfg,
-            metrics: ServerMetrics::default(),
         }
     }
+}
 
-    /// True once shutdown has been signaled.
-    pub fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+impl Deref for AsyncServerCtx {
+    type Target = ServerCore;
+    fn deref(&self) -> &ServerCore {
+        &self.core
     }
 }
 
@@ -172,15 +130,9 @@ impl TaskPool {
         self.st.lock().closed = true;
     }
 
-    /// Requests accepted but not yet settled (backlog + in flight).
-    pub fn outstanding(&self) -> usize {
-        let st = self.st.lock();
-        st.backlog.len() + st.in_flight
-    }
-
     /// Blocks until every accepted request has settled (completed or been
     /// dropped), or until `timeout`. Returns whether the pool drained.
-    pub fn wait_drained(&self, timeout: std::time::Duration) -> bool {
+    pub fn wait_drained(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut st = self.st.lock();
         while !st.backlog.is_empty() || st.in_flight > 0 {
@@ -193,6 +145,14 @@ impl TaskPool {
         true
     }
 
+    /// Stops the executor and the timer. Only for a drained pool whose
+    /// supervisor has stopped: shutdown drops any straggler future, and its
+    /// scope re-enters the port.
+    pub fn shut_down(&self) {
+        self.executor.shutdown();
+        self.ctx.timer.shutdown();
+    }
+
     /// Reserve → register → scope → launch: the handle is in the abort
     /// registry before the future can run (no cancellation races past an
     /// unregistered fast task), and the [`TaskScope`] is constructed
@@ -202,9 +162,13 @@ impl TaskPool {
     fn launch(self: &Arc<Self>, req: Request) {
         let handle = self.executor.reserve();
         self.ctx.registry.register(req.key, handle.clone());
-        let scope = TaskScope::begin(self.clone(), req);
-        let ctx = self.ctx.clone();
-        self.executor.launch(&handle, serve(ctx, scope));
+        let shell = PoolShell {
+            pool: self.clone(),
+            key: req.key,
+        };
+        let scope = TaskScope::begin(&self.ctx.port, &self.ctx.metrics, req, shell);
+        self.executor
+            .launch(&handle, serve(self.ctx.core.clone(), scope));
     }
 
     /// One settlement: re-admit from the backlog or report drained.
@@ -227,147 +191,31 @@ impl TaskPool {
     }
 }
 
-/// RAII settlement for one request. Constructed at launch and owned by
-/// the request future, dropped when the future ends — **by any means**. A
-/// completed request marks itself finished first; an aborted one is
-/// dropped mid-`await` with `finished` still false, and the destructor
-/// settles it as a drop: `record_drop` keeps the detector's completion
-/// series whole for a unit that will never finish, `free_cancel` retires
-/// the cancel handle, and the pool slot is re-admitted either way.
-struct TaskScope {
+/// The async shell's per-request state, owned by the request's
+/// [`TaskScope`] and so dropped right after the unit settles — by
+/// completion or by abort: the handle is forgotten and the pool slot
+/// re-admitted either way.
+pub struct PoolShell {
     pool: Arc<TaskPool>,
-    task: TaskId,
-    req: Request,
-    finished: bool,
+    key: u64,
 }
 
-impl TaskScope {
-    fn begin(pool: Arc<TaskPool>, req: Request) -> Self {
-        let ctx = pool.ctx();
-        let task = ctx.port.create_cancel(Some(req.key));
-        ctx.port.unit_started(task);
-        Self {
-            pool,
-            task,
-            req,
-            finished: false,
-        }
+impl Shell for PoolShell {
+    fn sleep(&self, d: Duration) -> impl Future<Output = ()> + Send {
+        self.pool.ctx.timer.sleep(d)
+    }
+
+    /// Cancellation is future drop: a request that is still being polled
+    /// was not cancelled.
+    fn canceled(&self) -> bool {
+        false
     }
 }
 
-impl Drop for TaskScope {
+impl Drop for PoolShell {
     fn drop(&mut self) {
-        let ctx = self.pool.ctx();
-        let latency = ctx.clock.now_ns().saturating_sub(self.req.enqueued_ns);
-        if self.finished {
-            ctx.port.unit_finished(self.task);
-        } else {
-            ctx.port.record_drop();
-        }
-        ctx.port.free_cancel(self.task);
-        ctx.registry.unregister(self.req.key);
-        match self.req.class {
-            RequestClass::Normal => {
-                if self.finished {
-                    ctx.metrics.victim.lock().record(latency);
-                    ctx.metrics
-                        .victims_completed
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            RequestClass::Culprit(_) => {
-                ctx.metrics.culprit.lock().record(latency);
-                ctx.metrics
-                    .culprits_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                if !self.finished {
-                    ctx.metrics
-                        .culprits_canceled
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+        self.pool.ctx.registry.unregister(self.key);
         self.pool.task_done();
-    }
-}
-
-/// The request future body.
-async fn serve(ctx: Arc<AsyncServerCtx>, mut scope: TaskScope) {
-    let task = scope.task;
-    let (class, key) = (scope.req.class, scope.req.key);
-    match class {
-        RequestClass::Normal => serve_normal(&ctx, task, key).await,
-        RequestClass::Culprit(kind) => serve_culprit(&ctx, task, kind).await,
-    }
-    scope.finished = true;
-}
-
-async fn serve_normal(ctx: &AsyncServerCtx, task: TaskId, key: u64) {
-    let _permit = ctx.tickets.acquire(task).await;
-    {
-        let _g = ctx.table.lock(task).await;
-        ctx.timer.sleep(ctx.cfg.normal_hold).await;
-    }
-    // The same strided window over the hot range as the thread substrate.
-    let n = ctx.cfg.pages_per_request as u64;
-    let base = (key * n) % ctx.cfg.hot_pages.max(1);
-    let pages: Vec<u64> = (0..n)
-        .map(|i| (base + i) % ctx.cfg.hot_pages.max(1))
-        .collect();
-    // Awaiting pays the miss penalty through the timer.
-    let _ = ctx.buffer.access(task, &pages).await;
-}
-
-/// Holds a resource until the harness stops or `culprit_hold` elapses,
-/// sleeping in `checkpoint`-sized chunks. The chunking exists so shutdown
-/// is prompt — it is **not** a cancellation checkpoint; an abort detaches
-/// this future at whichever `await` it is parked on.
-async fn hold_until_done(ctx: &AsyncServerCtx, started: Instant) {
-    while !ctx.stopping() && started.elapsed() < ctx.cfg.culprit_hold {
-        ctx.timer.sleep(ctx.cfg.checkpoint).await;
-    }
-}
-
-async fn serve_culprit(ctx: &AsyncServerCtx, task: TaskId, kind: CulpritKind) {
-    ctx.metrics.culprits_started.fetch_add(1, Ordering::Relaxed);
-    let _ = ctx.metrics.first_culprit_start_ns.compare_exchange(
-        0,
-        ctx.clock.now_ns().max(1),
-        Ordering::AcqRel,
-        Ordering::Acquire,
-    );
-    // Barely-started progress: the GetNext signal that makes the policy
-    // prefer canceling this task over nearly-done victims.
-    ctx.port.progress(task, 1, 100);
-    let started = Instant::now();
-    match kind {
-        CulpritKind::LockHog => {
-            let _guard = ctx.table.lock(task).await;
-            hold_until_done(ctx, started).await;
-        }
-        CulpritKind::TicketHog => {
-            // Take every ticket, one awaited acquire at a time, then camp
-            // on the full set: admission starves until this future is
-            // dropped (permits release in the guard destructors).
-            let mut permits = Vec::with_capacity(ctx.cfg.tickets);
-            for _ in 0..ctx.cfg.tickets {
-                permits.push(ctx.tickets.acquire(task).await);
-            }
-            hold_until_done(ctx, started).await;
-        }
-        CulpritKind::Scan => {
-            let _permit = ctx.tickets.acquire(task).await;
-            let mut page = ctx.cfg.hot_pages; // cold range: never hits
-            let mut scanned = 0u64;
-            while !ctx.stopping()
-                && scanned < ctx.cfg.scan_pages
-                && started.elapsed() < ctx.cfg.culprit_hold
-            {
-                let _ = ctx.buffer.access(task, &[page]).await;
-                page += 1;
-                scanned += 1;
-            }
-        }
     }
 }
 
@@ -375,8 +223,9 @@ async fn serve_culprit(ctx: &AsyncServerCtx, task: TaskId, kind: CulpritKind) {
 mod tests {
     use super::*;
     use atropos::AtroposConfig;
+    use atropos_live::{CulpritKind, RequestClass};
     use atropos_sim::SystemClock;
-    use std::time::Duration;
+    use std::sync::atomic::Ordering;
 
     fn ctx_with(cfg: LiveConfig) -> (Arc<AsyncServerCtx>, Arc<Executor>) {
         let rt = Arc::new(AtroposRuntime::new(
@@ -420,7 +269,7 @@ mod tests {
             enqueued_ns: 0,
         }));
         assert!(pool.wait_drained(Duration::from_secs(10)));
-        assert_eq!(ctx.metrics.victims_completed.load(Ordering::Relaxed), 8);
+        assert_eq!(ctx.metrics.victim.lock().count(), 8);
         ex.shutdown();
         ctx.timer.shutdown();
     }
@@ -458,8 +307,8 @@ mod tests {
         pool.close();
         assert!(pool.wait_drained(Duration::from_secs(10)));
         assert_eq!(ctx.metrics.culprits_canceled.load(Ordering::Relaxed), 1);
-        assert_eq!(ctx.metrics.victims_completed.load(Ordering::Relaxed), 1);
-        assert!(!ctx.table.is_locked(), "guard drop released the lock");
+        assert_eq!(ctx.metrics.victim.lock().count(), 1);
+        assert_eq!(ctx.table.available(), 1, "permit drop released the lock");
         ex.shutdown();
         ctx.timer.shutdown();
     }

@@ -12,8 +12,10 @@ use std::time::{Duration, Instant};
 
 use atropos::ticker::Ticker;
 use atropos::{AtroposConfig, AtroposRuntime};
-use atropos_async::{run, AsyncTracedLock, Executor};
-use atropos_live::{live_atropos_config, ControlMode, CulpritKind, LiveConfig, CULPRIT_KEY_BASE};
+use atropos_async::{run, Executor};
+use atropos_live::{
+    live_atropos_config, ControlMode, CulpritKind, Gate, LiveConfig, CULPRIT_KEY_BASE,
+};
 use atropos_sim::SystemClock;
 use atropos_substrate::{ProbePort, RuntimePort};
 
@@ -140,23 +142,23 @@ fn probed_stack() -> (Arc<AtroposRuntime>, Arc<ProbePort>, Arc<dyn RuntimePort>)
     (rt, probe, port)
 }
 
-/// Satellite: aborting a task that *holds* an async lock must release it
-/// via guard drop and emit the matching `Free` exactly once — observed
+/// Satellite: aborting a task that *holds* a lock gate must release it
+/// via permit drop and emit the matching `Free` exactly once — observed
 /// from outside through counting middleware, so a double-free in the
 /// guard path cannot hide.
 #[test]
 fn abort_releases_held_lock_with_exactly_one_free() {
     let (_rt, probe, port) = probed_stack();
-    let lock = Arc::new(AsyncTracedLock::new(port.clone(), "table_lock"));
+    let lock = Arc::new(Gate::lock(port.clone(), "table_lock"));
     let task = port.create_cancel(Some(1));
     let ex = Executor::inline();
     let l = lock.clone();
     let handle = ex.spawn(async move {
-        let _g = l.lock(task).await;
+        let _g = l.acquire(task).await;
         std::future::pending::<()>().await;
     });
     assert!(ex.poll_one()); // acquires, parks forever
-    assert!(lock.is_locked());
+    assert_eq!(lock.available(), 0);
     assert_eq!(probe.counts().gets, 1);
     assert_eq!(probe.counts().frees, 0);
 
@@ -167,7 +169,7 @@ fn abort_releases_held_lock_with_exactly_one_free() {
         "abort only flags; the worker performs the drop"
     );
     assert!(ex.poll_one()); // drop site: guard releases
-    assert!(!lock.is_locked(), "guard drop released the lock");
+    assert_eq!(lock.available(), 1, "permit drop released the lock");
     assert_eq!(probe.counts().frees, 1, "exactly one Free");
 
     // Nothing that happens later may free again: second abort, stray
@@ -186,7 +188,7 @@ fn abort_releases_held_lock_with_exactly_one_free() {
 #[test]
 fn abort_during_wake_race_emits_no_double_free() {
     let (_rt, probe, port) = probed_stack();
-    let lock = Arc::new(AsyncTracedLock::new(port.clone(), "table_lock"));
+    let lock = Arc::new(Gate::lock(port.clone(), "table_lock"));
     let ex = Executor::inline();
     let holder_task = port.create_cancel(Some(1));
     let a_task = port.create_cancel(Some(2));
@@ -194,19 +196,19 @@ fn abort_during_wake_race_emits_no_double_free() {
 
     let l = lock.clone();
     let holder = ex.spawn(async move {
-        let _g = l.lock(holder_task).await;
+        let _g = l.acquire(holder_task).await;
         std::future::pending::<()>().await;
     });
     let l = lock.clone();
     let waiter_a = ex.spawn(async move {
-        let _g = l.lock(a_task).await;
+        let _g = l.acquire(a_task).await;
         std::future::pending::<()>().await;
     });
     let l = lock.clone();
     let done_b = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let d = done_b.clone();
     ex.spawn(async move {
-        let _g = l.lock(b_task).await;
+        let _g = l.acquire(b_task).await;
         d.store(true, Ordering::SeqCst);
     });
     assert!(ex.poll_one()); // holder acquires
@@ -236,7 +238,7 @@ fn abort_during_wake_race_emits_no_double_free() {
     assert_eq!(after.gets, 2, "holder and B acquired");
     assert_eq!(after.frees, 2, "exactly one Free per Get — no double-free");
     assert_eq!(after.slows, 2);
-    assert!(!lock.is_locked());
+    assert_eq!(lock.available(), 1);
 }
 
 /// Satellite regression (mirror of the core ticker test): the async
@@ -254,18 +256,18 @@ fn executor_owned_ticker_stop_joins_before_teardown() {
     ));
     let port: Arc<dyn RuntimePort> = rt.clone();
     let ex = Executor::new(1);
-    let lock = Arc::new(AsyncTracedLock::new(port.clone(), "table_lock"));
+    let lock = Arc::new(Gate::lock(port.clone(), "table_lock"));
     let task = port.create_cancel(Some(1));
     let l = lock.clone();
     let handle = ex.spawn(async move {
-        let _g = l.lock(task).await;
+        let _g = l.acquire(task).await;
         std::future::pending::<()>().await;
     });
     let deadline = Instant::now() + Duration::from_secs(5);
-    while !lock.is_locked() && Instant::now() < deadline {
+    while lock.available() == 1 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert!(lock.is_locked());
+    assert_eq!(lock.available(), 0);
 
     let before = Arc::strong_count(&rt);
     let tick_port = port.clone();
@@ -290,10 +292,10 @@ fn executor_owned_ticker_stop_joins_before_teardown() {
     // hold through the port with no supervisor running.
     assert!(handle.abort());
     let deadline = Instant::now() + Duration::from_secs(5);
-    while lock.is_locked() && Instant::now() < deadline {
+    while lock.available() == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert!(!lock.is_locked(), "late guard drop reached the runtime");
+    assert_eq!(lock.available(), 1, "late permit drop reached the runtime");
     ex.shutdown();
     drop(ticker);
     drop(port);

@@ -1,6 +1,6 @@
 //! Async-harness smoke benchmark: the future-drop substrate's wall-clock
 //! victim tail latency with and without Atropos on an identical overload,
-//! plus the per-op cost of a spawned async traced-lock roundtrip.
+//! plus the per-op cost of a spawned lock-gate roundtrip.
 //!
 //! Mirrors `benches/live.rs` for the thread substrate: end-to-end
 //! outcomes, one short serving run per mode, machine-readable lines —
@@ -12,8 +12,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use atropos::{AtroposConfig, AtroposRuntime};
-use atropos_async::{run, AsyncTracedLock, Executor};
-use atropos_live::{live_atropos_config, ControlMode, CulpritKind, LiveConfig};
+use atropos_async::{run, Executor};
+use atropos_live::{live_atropos_config, ControlMode, CulpritKind, Gate, LiveConfig};
 use atropos_sim::SystemClock;
 
 fn emit(id: &str, ns: f64, iters: u64) {
@@ -39,14 +39,14 @@ fn smoke_config() -> LiveConfig {
 
 fn main() {
     // Per-op floor: spawn a task that takes and releases an uncontended
-    // async traced lock, then drive it to completion on an inline
+    // lock gate, then drive it to completion on an inline
     // executor — one spawn, one poll, two tracing events, one wake-free
     // guard drop. This is the substrate's smallest unit of useful work.
     let rt = Arc::new(AtroposRuntime::new(
         AtroposConfig::default(),
         Arc::new(SystemClock::new()),
     ));
-    let lock = Arc::new(AsyncTracedLock::new(rt.clone(), "bench_lock"));
+    let lock = Arc::new(Gate::lock(rt.clone(), "bench_lock"));
     let task = rt.create_cancel(None);
     let ex = Executor::inline();
     let iters = 100_000u64;
@@ -54,7 +54,7 @@ fn main() {
     for _ in 0..iters {
         let l = lock.clone();
         ex.spawn(async move {
-            drop(l.lock(task).await);
+            drop(l.acquire(task).await);
         });
         ex.poll_one();
     }

@@ -1,6 +1,6 @@
 //! Live-harness smoke benchmark: wall-clock victim tail latency with and
 //! without Atropos on an identical overload, plus the per-op cost of the
-//! traced primitives.
+//! traced [`Gate`].
 //!
 //! Unlike the microbenches this one measures *end-to-end outcomes*, so it
 //! does not iterate under criterion: each mode is one short serving run
@@ -13,7 +13,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use atropos::{AtroposConfig, AtroposRuntime};
-use atropos_live::{live_atropos_config, run, ControlMode, CulpritKind, LiveConfig, TracedLock};
+use atropos_live::{
+    block_on, live_atropos_config, run, ControlMode, CulpritKind, Gate, LiveConfig,
+};
 use atropos_sim::SystemClock;
 
 fn emit(id: &str, ns: f64, iters: u64) {
@@ -38,18 +40,19 @@ fn smoke_config() -> LiveConfig {
 }
 
 fn main() {
-    // Per-op floor: an uncontended traced-lock roundtrip (two tracing
-    // events + the real mutex).
+    // Per-op floor: an uncontended lock-gate roundtrip driven the way a
+    // worker thread drives it (two tracing events + two short critical
+    // sections on the gate's state; nothing parks, nothing allocates).
     let rt = Arc::new(AtroposRuntime::new(
         AtroposConfig::default(),
         Arc::new(SystemClock::new()),
     ));
-    let lock = TracedLock::new(rt.clone(), "bench_lock", ());
+    let lock = Gate::lock(rt.clone(), "bench_lock");
     let task = rt.create_cancel(None);
     let iters = 100_000u64;
     let start = Instant::now();
     for _ in 0..iters {
-        drop(lock.lock(task));
+        drop(block_on(lock.acquire(task)));
     }
     emit(
         "live/traced_lock_roundtrip",

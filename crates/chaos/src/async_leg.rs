@@ -63,7 +63,7 @@ pub fn run_async_scenario(family: ScenarioFamily, plan: &FaultPlan) -> AsyncLegO
     let slot: Arc<Mutex<Option<Arc<FaultInjector>>>> = Arc::new(Mutex::new(None));
     let fill = slot.clone();
     let plan = plan.clone();
-    let (report, rt) = atropos_async::run_instrumented(
+    let (report, rt) = atropos_live::run_on::<atropos_async::AsyncServer>(
         cfg,
         ControlMode::Atropos(live_atropos_config()),
         move |port| {

@@ -198,7 +198,7 @@ pub fn async_trace_for(family: ScenarioFamily) -> DecisionTrace {
 /// installation all cross the middleware.
 pub fn async_trace(descriptor: &ScenarioDescriptor) -> DecisionTrace {
     let plan = FaultPlan::quiet(descriptor.sim_seed);
-    let report = atropos_async::run_with(
+    let (report, _rt) = atropos_live::run_on::<atropos_async::AsyncServer>(
         live_config_for(descriptor),
         ControlMode::Atropos(live_atropos_config()),
         move |port| Arc::new(FaultInjector::over(port, &plan)),

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use atropos::{AtroposConfig, AtroposRuntime, ResourceType, TaskKey};
 use atropos_chaos::{Fault, FaultInjector, FaultPlan, InvariantChecker, Truth};
-use atropos_live::{live_atropos_config, run_with, ControlMode, LiveConfig};
+use atropos_live::{live_atropos_config, run_on, ControlMode, LiveConfig, ThreadServer};
 use atropos_sim::{Clock, SimTime, VirtualClock};
 use atropos_substrate::{CancelInitiator, ProbePort, RuntimePort};
 use parking_lot::Mutex;
@@ -242,7 +242,7 @@ fn live_fail_cancel_fault_surfaces_in_cancels_failed() {
     };
     let stash: Arc<Mutex<Option<Arc<FaultInjector>>>> = Arc::new(Mutex::new(None));
     let keep = stash.clone();
-    let report = run_with(
+    let (report, _rt) = run_on::<ThreadServer>(
         LiveConfig::default(),
         ControlMode::Atropos(live_atropos_config()),
         move |port| {

@@ -29,7 +29,10 @@
 //! - [`live`]: a two-tier wall-clock harness where real worker threads
 //!   RPC through an edge into a backend runtime, with a NoControl
 //!   baseline and a DAGOR-style per-node admission baseline that sheds
-//!   victims because it cannot see the culprit.
+//!   victims because it cannot see the culprit. It is the serving core of
+//!   `atropos-live` (request vocabulary, work queue, open-loop generator,
+//!   token registry, `Gate`, RAII `TaskScope`) around the only parts that
+//!   are federated: the edge RPC body, the DAGOR door, the report.
 //!
 //! The headline property, asserted end to end by the test suite: under a
 //! backend culprit, the federation cancels the *remote root* — and only

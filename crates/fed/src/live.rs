@@ -3,9 +3,14 @@
 //! Real worker threads on the frontend tier serve an open-loop workload;
 //! each request registers a root task on the frontend runtime, then RPCs
 //! through a [`FedEdge`] into the backend tier, where the work contends
-//! on a [`TracedLock`] shard. A culprit request holds the shard far past
-//! its SLO; victims convoy behind it and their *end-to-end* latency is
+//! on a [`Gate`] shard. A culprit request holds the shard far past its
+//! SLO; victims convoy behind it and their *end-to-end* latency is
 //! measured at the frontend.
+//!
+//! The request vocabulary, work queue, open-loop generator, token
+//! registry and root-task settlement are the serving core's
+//! (`atropos-live`, thread shell); what is written here is what is
+//! federated — the RPC body across the edge, the DAGOR door, the report.
 //!
 //! Three control modes:
 //!
@@ -21,7 +26,6 @@
 //!   admitted request is the culprit, so the convoy persists and
 //!   innocent load pays.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,9 +33,11 @@ use std::time::{Duration, Instant};
 use atropos::ticker::Ticker;
 use atropos::{AtroposRuntime, TaskKey};
 use atropos_baselines::Dagor;
-use atropos_live::{live_atropos_config, CancelRegistry, TracedLock, CULPRIT_KEY_BASE};
-use atropos_metrics::LatencyHistogram;
-use atropos_sim::SystemClock;
+use atropos_live::{
+    block_on, generate, live_atropos_config, CancelRegistry, CulpritKind, Gate, LiveConfig,
+    RequestClass, ServerMetrics, Shell, TaskScope, WorkQueue, CULPRIT_KEY_BASE,
+};
+use atropos_sim::{Clock, SystemClock};
 use atropos_substrate::{CancelFn, EdgeIdentity, EdgeStats, FedEdge, NodeId, RuntimePort};
 use parking_lot::Mutex;
 
@@ -112,7 +118,7 @@ pub struct FedLiveReport {
     /// Whether the culprit observed its frontend cancel token (the
     /// cross-node cancellation arrived end to end).
     pub root_canceled: bool,
-    /// Culprit start → token observed, when canceled.
+    /// Culprit start → cancellation delivered to its frontend token.
     pub time_to_cancel: Option<Duration>,
     /// Keys canceled on the frontend runtime, in issue order.
     pub frontend_canceled_roots: Vec<u64>,
@@ -120,36 +126,34 @@ pub struct FedLiveReport {
     pub innocent_upstream_cancels: u64,
     /// Victims the DAGOR baseline rejected at the backend door.
     pub shed: u64,
+    /// Work units the frontend runtime saw complete (a shed request is a
+    /// drop, not a completion).
+    pub frontend_completions: u64,
     /// Edge counters.
     pub edge: EdgeStats,
     /// Backend supervisor ticks.
     pub backend_ticks: u64,
 }
 
-struct Job {
-    key: u64,
-    class: u8,
-    client: u64,
-    culprit: bool,
-    /// Enqueue instant — victim latency is end to end (queue + serve),
-    /// so a convoy that backs the queue up is visible in the tail even
-    /// for jobs that never physically block on the shard.
-    born: Instant,
+impl FedLiveConfig {
+    /// The arrival schedule, in the serving core's terms: one lock-hog
+    /// culprit at `culprit_after`.
+    fn load(&self) -> LiveConfig {
+        LiveConfig {
+            interarrival: self.interarrival,
+            culprit_after: self.culprit_after,
+            culprit_every: None,
+            culprit_kind: CulpritKind::LockHog,
+            ..LiveConfig::default()
+        }
+    }
 }
-
-/// The culprit's root key on the frontend (the live culprit namespace).
-pub const FED_LIVE_CULPRIT_KEY: u64 = CULPRIT_KEY_BASE + 1;
 
 /// Runs one two-tier wall-clock session and reports it.
 pub fn run_fed_live(cfg: FedLiveConfig, mode: FedMode) -> FedLiveReport {
-    let front_rt = Arc::new(AtroposRuntime::new(
-        live_atropos_config(),
-        Arc::new(SystemClock::new()),
-    ));
-    let back_rt = Arc::new(AtroposRuntime::new(
-        live_atropos_config(),
-        Arc::new(SystemClock::new()),
-    ));
+    let clock = Arc::new(SystemClock::new());
+    let front_rt = Arc::new(AtroposRuntime::new(live_atropos_config(), clock.clone()));
+    let back_rt = Arc::new(AtroposRuntime::new(live_atropos_config(), clock.clone()));
     let edge = FedEdge::over(NodeId(1), back_rt.clone());
     let hook_rt = back_rt.clone();
     edge.set_origin_hook(move |task, id| hook_rt.set_task_origin(task, id.remote_origin()));
@@ -163,26 +167,24 @@ pub fn run_fed_live(cfg: FedLiveConfig, mode: FedMode) -> FedLiveReport {
         let _ = up_rt.cancel_key(key);
     })));
 
+    let front_port: Arc<dyn RuntimePort> = front_rt.clone();
     let registry = Arc::new(CancelRegistry::new());
     let atropos = mode == FedMode::Atropos;
     if atropos {
-        registry.install(&front_rt);
+        registry.install_port(&front_port);
     }
 
-    let shard = TracedLock::new(edge_port.clone(), "backend_shard", ());
+    let shard = Gate::lock(edge_port.clone(), "backend_shard");
     // `FedEdge::bind` + `create_cancel` is a two-step arm; serialize the
     // pair across workers.
     let rpc_open = Mutex::new(());
     let dagor = Mutex::new(Dagor::new(cfg.queue_time_ns));
-    let waiters: Mutex<Vec<Instant>> = Mutex::new(Vec::new());
-    let queue: Mutex<VecDeque<Job>> = Mutex::new(VecDeque::new());
+    // (key, enqueue stamp) of requests queued at the backend shard.
+    let waiters: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
+    let queue = WorkQueue::default();
     let stop = AtomicBool::new(false);
-    let victims = Mutex::new(LatencyHistogram::new());
-    let victim_count = AtomicU64::new(0);
+    let metrics = Arc::new(ServerMetrics::default());
     let shed = AtomicU64::new(0);
-    let culprit_started = AtomicBool::new(false);
-    let root_canceled = AtomicBool::new(false);
-    let time_to_cancel: Mutex<Option<Duration>> = Mutex::new(None);
 
     let mut backend_ticker = atropos.then(|| {
         let rt = back_rt.clone();
@@ -192,162 +194,91 @@ pub fn run_fed_live(cfg: FedLiveConfig, mode: FedMode) -> FedLiveReport {
         let rt = front_rt.clone();
         Ticker::spawn_fn(move || rt.tick(), cfg.tick_period, |_| {})
     });
-    let dagor_stop = Arc::new(AtomicBool::new(false));
+    let dagor_stop = AtomicBool::new(false);
 
     std::thread::scope(|s| {
-        // Generator: open-loop arrivals; the culprit is injected once.
-        let gen = {
-            let queue = &queue;
-            let stop = &stop;
-            let cfg = cfg.clone();
-            s.spawn(move || {
-                let t0 = Instant::now();
-                let mut key = 1u64;
-                let mut culprit_sent = false;
-                while !stop.load(Ordering::Acquire) {
-                    let culprit = !culprit_sent && t0.elapsed() >= cfg.culprit_after;
-                    if culprit {
-                        culprit_sent = true;
-                        queue.lock().push_back(Job {
-                            key: FED_LIVE_CULPRIT_KEY,
-                            class: 0,
-                            client: 7, // composes to DAGOR's top level
-                            culprit: true,
-                            born: Instant::now(),
-                        });
-                    } else {
-                        queue.lock().push_back(Job {
-                            key,
-                            class: 1 + (key % 7) as u8,
-                            client: key,
-                            culprit: false,
-                            born: Instant::now(),
-                        });
-                        key += 1;
-                    }
-                    std::thread::sleep(cfg.interarrival);
-                }
-            })
-        };
+        let gen = s.spawn(|| generate(&cfg.load(), &*clock, &stop, |req| queue.push(req)));
 
         // DAGOR's adaptation epoch: sample the average wait of requests
         // currently queued at the backend shard and adapt the threshold.
         let dagor_thread = (mode == FedMode::DagorAdmission).then(|| {
-            let stopped = dagor_stop.clone();
-            let dagor = &dagor;
-            let waiters = &waiters;
-            let period = cfg.tick_period;
-            s.spawn(move || {
-                while !stopped.load(Ordering::Acquire) {
-                    std::thread::sleep(period);
-                    let now = Instant::now();
+            s.spawn(|| {
+                while !dagor_stop.load(Ordering::Acquire) {
+                    std::thread::sleep(cfg.tick_period);
+                    let now = clock.now_ns();
                     let snapshot = waiters.lock();
-                    let avg = if snapshot.is_empty() {
-                        0
-                    } else {
-                        snapshot
-                            .iter()
-                            .map(|w| now.duration_since(*w).as_nanos() as u64)
-                            .sum::<u64>()
-                            / snapshot.len() as u64
-                    };
+                    let waited = snapshot.iter().map(|(_, since)| now.saturating_sub(*since));
+                    let avg = waited.sum::<u64>() / snapshot.len().max(1) as u64;
                     drop(snapshot);
                     dagor.lock().adapt(avg);
                 }
             })
         });
 
-        // Frontend workers: serve jobs end to end through the edge.
-        let mut workers = Vec::new();
-        for _ in 0..cfg.workers {
-            let queue = &queue;
-            let stop = &stop;
-            let cfg = cfg.clone();
-            let front_port: Arc<dyn RuntimePort> = front_rt.clone();
-            let registry = registry.clone();
-            let edge = edge.clone();
-            let edge_port = edge_port.clone();
-            let shard = &shard;
-            let rpc_open = &rpc_open;
-            let dagor = &dagor;
-            let waiters = &waiters;
-            let victims = &victims;
-            let victim_count = &victim_count;
-            let shed = &shed;
-            let culprit_started = &culprit_started;
-            let root_canceled = &root_canceled;
-            let time_to_cancel = &time_to_cancel;
-            workers.push(s.spawn(move || loop {
-                let job = queue.lock().pop_front();
-                let Some(job) = job else {
-                    if stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
-                    continue;
-                };
-                let t0 = job.born;
-                let root = front_port.create_cancel(Some(job.key));
-                front_port.unit_started(root);
-                let token = registry.register(job.key);
+        // Frontend workers: serve requests end to end through the edge.
+        let workers: Vec<_> = (0..cfg.workers)
+            .map(|_| {
+                s.spawn(|| {
+                    while let Some(req) = queue.pop() {
+                        let (key, since) = (req.key, req.enqueued_ns);
+                        let culprit = matches!(req.class, RequestClass::Culprit(_));
+                        let token = registry.token_for(&req);
+                        let mut root = TaskScope::begin(&front_port, &metrics, req, token);
 
-                // DAGOR admission happens at the backend door, before the
-                // proxy task even opens. The culprit composes to the top
-                // priority level, so it is always admitted — DAGOR's
-                // exact blind spot.
-                if mode == FedMode::DagorAdmission
-                    && !dagor.lock().admit_bare(job.class, job.client)
-                {
-                    shed.fetch_add(1, Ordering::Relaxed);
-                    front_port.record_drop();
-                    front_port.unit_finished(root);
-                    front_port.free_cancel(root);
-                    registry.unregister(job.key);
-                    continue;
-                }
-
-                // The RPC: piggyback identity, open the proxy, contend.
-                let identity = EdgeIdentity::local(NodeId(0), job.key).hop(NodeId(1));
-                let proxy = {
-                    let _g = rpc_open.lock();
-                    edge.open(&identity)
-                };
-                edge_port.unit_started(proxy);
-                waiters.lock().push(t0);
-                {
-                    let guard = shard.lock(proxy);
-                    waiters.lock().retain(|w| *w != t0);
-                    if job.culprit {
-                        culprit_started.store(true, Ordering::Release);
-                        let held = Instant::now();
-                        while held.elapsed() < cfg.culprit_hold {
-                            if token.is_canceled() {
-                                root_canceled.store(true, Ordering::Release);
-                                *time_to_cancel.lock() = Some(held.elapsed());
-                                break;
-                            }
-                            std::thread::sleep(cfg.checkpoint);
+                        // DAGOR admission happens at the backend door, before
+                        // the proxy task even opens. Business class and client
+                        // are functions of the key; the culprit composes to the
+                        // top priority level, so it is always admitted — DAGOR's
+                        // exact blind spot. A refused request is a drop: its
+                        // scope ends unfinished (and, being a victim, it has no
+                        // token to unregister).
+                        let (class, client) = if culprit {
+                            (0, 7)
+                        } else {
+                            (1 + (key % 7) as u8, key)
+                        };
+                        if mode == FedMode::DagorAdmission
+                            && !dagor.lock().admit_bare(class, client)
+                        {
+                            shed.fetch_add(1, Ordering::Relaxed);
+                            continue;
                         }
-                    } else {
-                        std::thread::sleep(cfg.backend_hold);
+
+                        // The RPC: piggyback identity, open the proxy, contend.
+                        let identity = EdgeIdentity::local(NodeId(0), key).hop(NodeId(1));
+                        let proxy = {
+                            let _g = rpc_open.lock();
+                            edge.open(&identity)
+                        };
+                        edge_port.unit_started(proxy);
+                        waiters.lock().push((key, since));
+                        {
+                            let _held = block_on(shard.acquire(proxy));
+                            waiters.lock().retain(|(k, _)| *k != key);
+                            if culprit {
+                                metrics.culprit_started(clock.now_ns());
+                                let held = Instant::now();
+                                while held.elapsed() < cfg.culprit_hold && !root.shell.canceled() {
+                                    std::thread::sleep(cfg.checkpoint);
+                                }
+                            } else {
+                                std::thread::sleep(cfg.backend_hold);
+                            }
+                        }
+                        edge_port.unit_finished(proxy);
+                        edge_port.free_cancel(proxy);
+                        root.finished = true;
+                        drop(root);
+                        registry.unregister(key);
                     }
-                    drop(guard);
-                }
-                edge_port.unit_finished(proxy);
-                edge_port.free_cancel(proxy);
-                front_port.unit_finished(root);
-                front_port.free_cancel(root);
-                registry.unregister(job.key);
-                if !job.culprit {
-                    victims.lock().record(t0.elapsed().as_nanos() as u64);
-                    victim_count.fetch_add(1, Ordering::Relaxed);
-                }
-            }));
-        }
+                })
+            })
+            .collect();
 
         std::thread::sleep(cfg.run_for);
         stop.store(true, Ordering::Release);
         gen.join().expect("generator panicked");
+        queue.close();
         for w in workers {
             w.join().expect("worker panicked");
         }
@@ -374,20 +305,20 @@ pub fn run_fed_live(cfg: FedLiveConfig, mode: FedMode) -> FedLiveReport {
         .collect();
     let innocent = frontend_canceled_roots
         .iter()
-        .filter(|&&k| k != FED_LIVE_CULPRIT_KEY)
+        .filter(|&&k| k != CULPRIT_KEY_BASE)
         .count() as u64;
-    let victims = victims.into_inner();
-    let time_to_cancel = *time_to_cancel.lock();
+    let victims = metrics.victim.lock();
     FedLiveReport {
-        victim_count: victim_count.load(Ordering::Relaxed),
+        victim_count: victims.count(),
         victim_p99_ns: victims.p99(),
         victim_mean_ns: victims.mean(),
-        culprit_started: culprit_started.load(Ordering::Acquire),
-        root_canceled: root_canceled.load(Ordering::Acquire),
-        time_to_cancel,
+        culprit_started: metrics.culprits_started.load(Ordering::Relaxed) > 0,
+        root_canceled: metrics.culprits_canceled.load(Ordering::Relaxed) > 0,
+        time_to_cancel: metrics.time_to_cancel(registry.first_delivery_ns()),
         frontend_canceled_roots,
         innocent_upstream_cancels: innocent,
         shed: shed.load(Ordering::Relaxed),
+        frontend_completions: front_rt.stats().completions,
         edge: edge.stats(),
         backend_ticks,
     }

@@ -72,4 +72,13 @@ fn dagor_baseline_sheds_victims_and_misses_the_culprit() {
         "DAGOR shed no one — overload never pushed admission down"
     );
     assert_eq!(dagor.innocent_upstream_cancels, 0);
+    // A refused request is settled as a drop and nothing else: the frontend
+    // detector must not also see a ≈0 ns completion for every shed victim.
+    // What completed is what was served — the victims and the one culprit.
+    assert_eq!(
+        dagor.frontend_completions,
+        dagor.victim_count + 1,
+        "shed victims ({}) leaked into the frontend completion series",
+        dagor.shed
+    );
 }

@@ -1,8 +1,16 @@
-//! The end-to-end live harness: wire the server, workload, supervisor and
-//! report together for one wall-clock run.
+//! The end-to-end live harness: wire a server, the workload, the
+//! supervisor and the report together for one wall-clock run.
+//!
+//! [`run_on`] is the one run sequence; an execution shell plugs in as a
+//! [`Serving`] (how it starts, takes a request, drains and tears down).
+//! The thread shell's [`ThreadServer`] lives here, the async shell's in
+//! `atropos-async` — same [`LiveConfig`], same [`ControlMode`], same
+//! [`LiveReport`], so a differential can pin one configuration and compare
+//! the runtime's *decisions* with the shell as the only variable.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use atropos::ticker::Ticker;
@@ -10,10 +18,10 @@ use atropos::{AtroposConfig, AtroposRuntime, RuntimeStats};
 use atropos_metrics::LatencyHistogram;
 use atropos_sim::SystemClock;
 use atropos_substrate::{RuntimePort, ScenarioDescriptor, ScenarioFamily};
+use parking_lot::Mutex;
 
-use crate::report::{assemble_report, ReportInputs};
-use crate::server::{worker_loop, CulpritKind, ServerCtx};
-use crate::token::CancelRegistry;
+use crate::server::{worker_loop, CulpritKind, Request, ServerCore, ServerCtx};
+use crate::token::{CancelToken, Registry, Signal};
 use crate::workload::generate;
 
 /// Workload and service-time parameters for one run.
@@ -121,7 +129,7 @@ impl Default for LiveConfig {
 /// Whether the run is overload-controlled.
 #[derive(Debug, Clone)]
 pub enum ControlMode {
-    /// Atropos runs: the supervisor ticks the runtime and the token
+    /// Atropos runs: the supervisor ticks the runtime and the shell's
     /// registry is installed as the cancellation initiator.
     Atropos(AtroposConfig),
     /// Tracing still flows (so overheads are comparable) but nothing ever
@@ -202,128 +210,174 @@ pub struct LiveReport {
     pub metrics: atropos_obs::MetricsSnapshot,
 }
 
-/// Runs one complete wall-clock serving session and reports it.
-///
-/// The sequencing matters and is the reason this lives in one place:
-/// offered load stops first, then the stop flag makes culprits release at
-/// their next checkpoint, then the queue closes and workers drain the
-/// backlog (so every accepted request's latency is measured — in a
-/// convoy, the backlog *is* the damage), and only then does the
-/// supervisor stop ticking.
-pub fn run(cfg: LiveConfig, mode: ControlMode) -> LiveReport {
-    run_with(cfg, mode, |port| port)
+/// A started server of one execution shell, as [`run_on`] drives it.
+pub trait Serving: Sized {
+    /// What the shell's registry signals to cancel a request.
+    type Handle: Signal;
+
+    /// Builds the server over `rt`, emitting through `port`, and starts
+    /// whatever threads serve it.
+    fn start(
+        rt: Arc<AtroposRuntime>,
+        port: Arc<dyn RuntimePort>,
+        registry: Arc<Registry<Self::Handle>>,
+        cfg: LiveConfig,
+    ) -> Self;
+
+    /// The served core.
+    fn core(&self) -> &ServerCore;
+
+    /// Offers one request; false (dropping it) once draining has begun.
+    fn submit(&self, req: Request) -> bool;
+
+    /// Stops admission and blocks until every accepted request has settled
+    /// — the backlog is run down so each one is measured (in a convoy, the
+    /// backlog *is* the damage).
+    fn drain(&self);
+
+    /// Releases what must outlive the supervisor: called after the last
+    /// tick, because a tick must never race a dead executor.
+    fn teardown(self) {}
 }
 
-/// Like [`run`], but the server emits through `wrap(runtime)` instead of
-/// the bare runtime — the hook where middleware (fault injection, probes)
-/// is stacked over a live run. The initiator is installed and the
-/// supervisor ticks *through* the wrapped port, so middleware observes
-/// the complete protocol: traffic, deliveries, and the periodic driver.
-pub fn run_with(
+/// Runs one complete wall-clock serving session on shell `S`, emitting
+/// through `wrap(runtime)` — the hook where middleware (fault injection,
+/// probes) is stacked over a live run — and reports it. Also hands back the
+/// underlying runtime so a checker can take a
+/// [`DebugSnapshot`](atropos::DebugSnapshot) of the quiesced state.
+///
+/// The sequencing matters and is the reason this lives in one place. The
+/// initiator is installed and the supervisor ticks *through* the wrapped
+/// port, so middleware observes the complete protocol: traffic,
+/// deliveries, and the periodic driver. At the end offered load stops
+/// first, then the stop flag makes culprits release at their next
+/// checkpoint, then the server drains, and only then does the supervisor
+/// stop ticking and the shell tear down.
+pub fn run_on<S: Serving>(
     cfg: LiveConfig,
     mode: ControlMode,
     wrap: impl FnOnce(Arc<dyn RuntimePort>) -> Arc<dyn RuntimePort>,
-) -> LiveReport {
+) -> (LiveReport, Arc<AtroposRuntime>) {
     let clock = Arc::new(SystemClock::new());
-    let atropos_cfg = match &mode {
-        ControlMode::Atropos(c) => c.clone(),
-        ControlMode::NoControl => live_atropos_config(),
+    let (atropos_cfg, controlled) = match mode {
+        ControlMode::Atropos(c) => (c, true),
+        ControlMode::NoControl => (live_atropos_config(), false),
     };
     let rt = Arc::new(AtroposRuntime::new(atropos_cfg, clock));
     let port = wrap(rt.clone());
-    let registry = Arc::new(CancelRegistry::new());
+    let registry = Arc::new(Registry::new());
     let obs = atropos_obs::Observer::install(&rt, atropos_obs::DEFAULT_RING_CAPACITY);
-    let controlled = matches!(mode, ControlMode::Atropos(_));
     if controlled {
         registry.install_port(&port);
     }
-    let ctx = Arc::new(ServerCtx::with_port(
-        rt.clone(),
-        port.clone(),
-        registry.clone(),
-        cfg.clone(),
-    ));
+    let server = S::start(rt.clone(), port.clone(), registry.clone(), cfg.clone());
     let mut ticker = controlled.then(|| {
         let tick_port = port.clone();
         Ticker::spawn_fn(move || tick_port.tick(), cfg.tick_period, |_| {})
     });
 
-    std::thread::scope(|s| {
-        let mut workers = Vec::new();
-        for i in 0..cfg.workers {
-            let ctx = ctx.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("live-worker-{i}"))
-                    .spawn_scoped(s, move || worker_loop(&ctx))
-                    .expect("spawn worker"),
-            );
-        }
-        let gen_ctx = ctx.clone();
-        let generator = std::thread::Builder::new()
-            .name("live-loadgen".into())
-            .spawn_scoped(s, move || generate(&gen_ctx))
-            .expect("spawn loadgen");
-
-        std::thread::sleep(cfg.run_for);
-        ctx.stop.store(true, Ordering::Release);
-        generator.join().expect("loadgen panicked");
-        ctx.queue.close();
-        for w in workers {
-            w.join().expect("worker panicked");
-        }
+    let core = server.core();
+    let stop = &core.stop;
+    let offered = std::thread::scope(|s| {
+        s.spawn(|| {
+            std::thread::sleep(cfg.run_for);
+            stop.store(true, Ordering::Release);
+        });
+        generate(&core.cfg, &*core.clock, stop, |req| server.submit(req))
+    });
+    core.metrics.offered.fetch_add(offered, Ordering::Relaxed);
+    server.drain();
+    let ticks = ticker.as_mut().map_or(0, |t| {
+        t.stop();
+        t.ticks()
     });
 
-    let ticks = match ticker.as_mut() {
-        Some(t) => {
-            t.stop();
-            t.ticks()
-        }
-        None => 0,
-    };
+    let metrics = core.metrics.clone();
+    server.teardown();
 
-    let inputs = ReportInputs {
-        first_delivery_ns: registry.first_delivery_ns(),
-        delivered: registry.delivered(),
-        first_culprit_start_ns: ctx.metrics.first_culprit_start_ns.load(Ordering::Acquire),
-        offered: ctx.metrics.offered.load(Ordering::Relaxed),
-        culprits_started: ctx.metrics.culprits_started.load(Ordering::Relaxed),
-        culprits_canceled: ctx.metrics.culprits_canceled.load(Ordering::Relaxed),
-        ticks,
-    };
-    let victim = ctx.metrics.victim.lock();
-    let culprit = ctx.metrics.culprit.lock();
-    assemble_report(&rt, &obs, &victim, &culprit, inputs)
-}
-
-/// Runs one wall-clock session at a [`ScenarioDescriptor`]'s pinned
-/// geometry — the descriptor-file entry point the differential and
-/// capacity harnesses share.
-pub fn run_descriptor(d: &ScenarioDescriptor, mode: ControlMode) -> LiveReport {
-    run(LiveConfig::from_scenario(d), mode)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A short no-culprit, no-control smoke run: the harness serves load,
-    /// drains cleanly, and measures sane latencies.
-    #[test]
-    fn smoke_run_without_culprit() {
-        let cfg = LiveConfig {
-            run_for: Duration::from_millis(300),
-            culprit_after: Duration::from_secs(3600), // never
-            ..LiveConfig::default()
-        };
-        let report = run(cfg, ControlMode::NoControl);
-        assert!(report.victim.count >= 50, "served {}", report.victim.count);
-        assert_eq!(report.culprits_started, 0);
-        assert_eq!(report.culprits_canceled, 0);
-        assert_eq!(report.ticks, 0);
-        assert_eq!(report.runtime.cancel.issued, 0);
-        assert!(report.victim.p99_ns > 0);
-        // Backlog fully drained: offered == completed.
-        assert_eq!(report.offered, report.victim.count);
+    // Everything is quiesced: the runtime snapshot and the observer ring
+    // are read as final state.
+    // Reconcile registry deliveries into the observer so `cancels_failed`
+    // reflects only cancellations that never reached a live target.
+    for _ in 0..registry.delivered() {
+        obs.registry().observe_cancel_delivered();
     }
+    let snapshot = rt.debug_snapshot();
+    let names = atropos_obs::ResourceNames::from_snapshot(&snapshot);
+    let report = LiveReport {
+        victim: LatencySummary::from_histogram(&metrics.victim.lock()),
+        culprit: LatencySummary::from_histogram(&metrics.culprit.lock()),
+        offered: metrics.offered.load(Ordering::Relaxed),
+        culprits_started: metrics.culprits_started.load(Ordering::Relaxed),
+        culprits_canceled: metrics.culprits_canceled.load(Ordering::Relaxed),
+        time_to_cancel: metrics.time_to_cancel(registry.first_delivery_ns()),
+        cancellations_delivered: registry.delivered(),
+        canceled_keys: snapshot
+            .cancel
+            .canceled_keys
+            .iter()
+            .map(|(k, _)| k.0)
+            .collect(),
+        ticks,
+        runtime: rt.stats(),
+        episodes: obs.drain_episodes(&names),
+        metrics: obs.metrics(),
+    };
+    (report, rt)
+}
+
+/// The thread shell as a [`Serving`]: `cfg.workers` threads running
+/// [`worker_loop`] over a shared [`ServerCtx`]; cancellation is a
+/// [`CancelToken`] raised for the culprit to observe.
+pub struct ThreadServer {
+    ctx: Arc<ServerCtx>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Serving for ThreadServer {
+    type Handle = CancelToken;
+
+    fn start(
+        rt: Arc<AtroposRuntime>,
+        port: Arc<dyn RuntimePort>,
+        registry: Arc<Registry<CancelToken>>,
+        cfg: LiveConfig,
+    ) -> Self {
+        let workers = cfg.workers;
+        let ctx = Arc::new(ServerCtx::with_port(rt, port, registry, cfg));
+        let workers = (0..workers)
+            .map(|i| {
+                let ctx = ctx.clone();
+                std::thread::Builder::new()
+                    .name(format!("live-worker-{i}"))
+                    .spawn(move || worker_loop(&ctx))
+                    .expect("spawn worker")
+            })
+            .collect();
+        Self {
+            ctx,
+            workers: Mutex::new(workers),
+        }
+    }
+
+    fn core(&self) -> &ServerCore {
+        &self.ctx
+    }
+
+    fn submit(&self, req: Request) -> bool {
+        self.ctx.queue.push(req)
+    }
+
+    fn drain(&self) {
+        self.ctx.queue.close();
+        for w in self.workers.lock().drain(..) {
+            w.join().expect("worker panicked");
+        }
+    }
+}
+
+/// Runs one complete wall-clock session on the thread shell, straight
+/// over the runtime.
+pub fn run(cfg: LiveConfig, mode: ControlMode) -> LiveReport {
+    run_on::<ThreadServer>(cfg, mode, |port| port).0
 }

@@ -1,26 +1,23 @@
-//! # atropos-live — a wall-clock serving harness for Atropos
+//! # atropos-live — the wall-clock serving harness for Atropos
 //!
 //! Everything else in this workspace exercises Atropos under the
 //! deterministic simulator (`atropos-appsim` on a `VirtualClock`). This
 //! crate closes the loop the paper closes with its MySQL/Postgres
-//! integrations: it runs the *same* runtime against **real threads, real
-//! locks, and real cancellation** on the [`SystemClock`].
+//! integrations: it runs the *same* runtime against **real waiting, real
+//! contention, and real cancellation** on the [`SystemClock`].
 //!
-//! The pieces, bottom-up:
-//!
-//! - [`token`]: [`CancelToken`]/[`CancelRegistry`] — cooperative
-//!   cancellation signals plus the key→token map that serves as the
-//!   runtime's cancel initiator (the `sql_kill` analog),
-//! - [`resources`]: [`TracedLock`], [`TicketSemaphore`], [`LruBuffer`] —
-//!   real primitives that speak the Figure 6b tracing protocol,
-//! - [`server`]: a bounded worker pool serving classed requests, with a
-//!   rare long-running "culprit" class that monopolizes one resource and
-//!   checkpoints its own cancel token,
-//! - [`workload`]: an open-loop load generator (fixed arrival schedule;
-//!   backlog shows up as latency, not as thinner load),
-//! - [`harness`]: [`run`] wires it all together under a supervisor
-//!   [`Ticker`](atropos::Ticker) and reports wall-clock victim/culprit
-//!   latency distributions, cancellation delivery, and time-to-cancel.
+//! It is one substrate-neutral serving core — each module's header says
+//! what it holds: [`resources`] (the traced [`Gate`] and [`LruBuffer`]),
+//! [`token`] (the cancel [`Registry`]), [`server`] (the request script and
+//! its RAII [`TaskScope`]), [`workload`] (the open-loop generator),
+//! [`harness`] (the one run sequence, [`run_on`]) — plus the thread shell.
+//! An execution shell supplies only what is its own: how a request waits
+//! and whether it was told to stop ([`Shell`]), and how a server starts,
+//! drains and tears down ([`Serving`]). The thread shell is here
+//! ([`block_on`] parks the worker, a culprit checkpoints its own
+//! [`CancelToken`]); the async shell (executor wake, future drop) is
+//! `atropos-async`, and `atropos-fed` builds its two-tier harness from the
+//! same parts.
 //!
 //! The headline comparison — [`ControlMode::Atropos`] vs
 //! [`ControlMode::NoControl`] on an identical workload — is what
@@ -34,18 +31,19 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod report;
 pub mod resources;
 pub mod server;
 pub mod token;
 pub mod workload;
 
 pub use harness::{
-    live_atropos_config, run, run_descriptor, run_with, ControlMode, LatencySummary, LiveConfig,
-    LiveReport,
+    live_atropos_config, run, run_on, ControlMode, LatencySummary, LiveConfig, LiveReport, Serving,
+    ThreadServer,
 };
-pub use report::{assemble_report, ReportInputs};
-pub use resources::{AccessStats, LruBuffer, TicketPermit, TicketSemaphore, TracedLock};
-pub use server::{CulpritKind, Request, RequestClass, ServerCtx, ServerMetrics, WorkQueue};
-pub use token::{CancelRegistry, CancelToken};
-pub use workload::CULPRIT_KEY_BASE;
+pub use resources::{block_on, AccessStats, Acquire, Gate, LruBuffer, Permit};
+pub use server::{
+    CulpritKind, Request, RequestClass, ServerCore, ServerCtx, ServerMetrics, Shell, TaskScope,
+    WorkQueue,
+};
+pub use token::{CancelRegistry, CancelToken, Registry, Signal};
+pub use workload::{generate, CULPRIT_KEY_BASE};

@@ -1,165 +1,261 @@
-//! Real synchronization primitives wired to the substrate port.
+//! The traced resources: real primitives wired to the substrate port.
 //!
-//! Each wrapper owns one resource registered through an
-//! `Arc<dyn RuntimePort>` and emits the Figure 6b events at the natural
-//! points of its own operation. Because emission goes through the port
-//! rather than a concrete runtime handle, any middleware stacked over the
-//! runtime (fault injection, probes) observes this traffic too:
+//! Each owns one resource registered through an `Arc<dyn RuntimePort>`
+//! and emits the Figure 6b events at the natural points of its own
+//! operation. Because emission goes through the port rather than a
+//! concrete runtime handle, any middleware stacked over the runtime
+//! (fault injection, probes) observes this traffic too:
 //!
-//! - [`TracedLock`] (LOCK): `slow_by` when a thread begins waiting, `get`
-//!   at the wait→hold transition, `free` on guard drop,
-//! - [`TicketSemaphore`] (QUEUE): the same protocol over a counting
-//!   semaphore of worker/concurrency tickets,
+//! - [`Gate`] (LOCK with one permit, QUEUE with n): `slow_by` once when a
+//!   wait begins, `get` at the wait→hold transition, `free` on permit
+//!   drop — the one place in the workspace that speaks this protocol for
+//!   a wall-clock substrate,
 //! - [`LruBuffer`] (MEMORY): `get` per page loaded, `free` charged to the
 //!   evicted page's *owner*, `slow_by` (evictions caused) charged to the
 //!   evictor — the attribution that lets the estimator see who is sweeping
 //!   the pool.
 //!
 //! These are the live counterparts of `appsim`'s virtual `lock.rs`,
-//! `ticket.rs` and `bufferpool.rs`: same protocol, real blocking.
+//! `ticket.rs` and `bufferpool.rs`: same protocol, real waiting.
+//!
+//! ## Waiting is the caller's business
+//!
+//! [`Gate::acquire`] is a future and the waiter queue holds wakers, so the
+//! gate does not know how its caller waits: a thread worker drives it with
+//! [`block_on`] (the waker unparks the thread), the async executor polls
+//! it as part of a request future (the waker requeues the task).
+//!
+//! ## The RAII hold-release argument
+//!
+//! Where cancellation is future drop nothing ever resumes a canceled task
+//! to let it unwind, so release cannot live in request code — it lives
+//! **entirely in destructors**, which run when the dropped future's locals
+//! are destroyed:
+//!
+//! - a held [`Permit`] emits exactly one `free` and wakes the front
+//!   waiter, whether the task completed, unwound or was dropped
+//!   mid-`await`;
+//! - a *pending* [`Acquire`] that is dropped removes its own waiter entry
+//!   and emits nothing (it acquired nothing) — and, if a permit is free,
+//!   re-wakes the front waiter so a wake "swallowed" by the dropped task
+//!   is never lost.
+//!
+//! That last clause is the abort-during-wake race: a release may wake
+//! waiter A just before A's task is aborted. A's acquire is dropped
+//! without re-polling, so A passes the baton on. Exactly-once `free`
+//! holds because only a constructed permit emits `free`, and a permit is
+//! constructed at most once per `get`.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::future::Future;
+use std::pin::{pin, Pin};
 use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
+use std::thread::Thread;
 
 use atropos::{ResourceId, ResourceType, TaskId};
 use atropos_substrate::RuntimePort;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
-/// A mutex that reports waits, holds and releases to Atropos.
-pub struct TracedLock<T> {
+struct GateState {
+    available: usize,
+    next_wait: u64,
+    /// FIFO of waiting acquires: a stable id (so a dropped acquire removes
+    /// exactly its own entry) plus the waker of its most recent poll.
+    waiters: VecDeque<(u64, Waker)>,
+}
+
+impl GateState {
+    fn remove(&mut self, id: u64) {
+        self.waiters.retain(|(w, _)| *w != id);
+    }
+
+    /// The waker that must hear that a permit is free, if one is.
+    fn baton(&self) -> Option<Waker> {
+        if self.available == 0 {
+            return None;
+        }
+        self.waiters.front().map(|(_, w)| w.clone())
+    }
+}
+
+/// A counted wait→hold resource reporting to Atropos: a LOCK is the
+/// one-permit case ([`Gate::lock`]), a QUEUE of concurrency tickets the
+/// n-permit case ([`Gate::queue`]). It guards a critical *section*, not
+/// data.
+pub struct Gate {
     port: Arc<dyn RuntimePort>,
     rid: ResourceId,
-    inner: Mutex<T>,
+    st: Mutex<GateState>,
 }
 
-/// RAII guard for [`TracedLock`]; releases the lock and emits `free` on
-/// drop.
-pub struct TracedLockGuard<'a, T> {
-    lock: &'a TracedLock<T>,
-    task: TaskId,
-    guard: Option<parking_lot::MutexGuard<'a, T>>,
-}
-
-impl<T> TracedLock<T> {
-    /// Registers a LOCK resource named `name` and wraps `value` with it.
-    pub fn new(port: Arc<dyn RuntimePort>, name: &str, value: T) -> Self {
-        let rid = port.register_resource(name, ResourceType::Lock);
+impl Gate {
+    fn new(port: Arc<dyn RuntimePort>, name: &str, rtype: ResourceType, permits: usize) -> Self {
+        let rid = port.register_resource(name, rtype);
         Self {
             port,
             rid,
-            inner: Mutex::new(value),
+            st: Mutex::new(GateState {
+                available: permits,
+                next_wait: 0,
+                waiters: VecDeque::new(),
+            }),
         }
     }
 
-    /// The Atropos resource this lock reports to.
-    pub fn resource_id(&self) -> ResourceId {
-        self.rid
+    /// Registers a LOCK resource named `name`: one permit.
+    pub fn lock(port: Arc<dyn RuntimePort>, name: &str) -> Self {
+        Self::new(port, name, ResourceType::Lock, 1)
     }
 
-    /// Acquires the lock on behalf of `task`, blocking if held.
-    ///
-    /// An uncontended acquire emits only `get`; a contended one emits
-    /// `slow_by` first (the task began waiting), matching the wait→hold
-    /// interval protocol of §3.2.
-    pub fn lock(&self, task: TaskId) -> TracedLockGuard<'_, T> {
-        let guard = match self.inner.try_lock() {
-            Some(g) => g,
-            None => {
-                self.port.slow_by(task, self.rid, 1);
-                self.inner.lock()
-            }
-        };
-        self.port.get(task, self.rid, 1);
-        TracedLockGuard {
-            lock: self,
+    /// Registers a QUEUE resource named `name` with `permits` tickets (the
+    /// bounded worker/connection-pool analog).
+    pub fn queue(port: Arc<dyn RuntimePort>, name: &str, permits: usize) -> Self {
+        Self::new(port, name, ResourceType::Queue, permits)
+    }
+
+    /// Acquires one permit on behalf of `task`. An uncontended acquire
+    /// emits only `get`; a contended one emits `slow_by` once when the
+    /// wait begins (the §3.2 wait→hold protocol).
+    pub fn acquire(&self, task: TaskId) -> Acquire<'_> {
+        Acquire {
+            gate: self,
             task,
-            guard: Some(guard),
+            wait_id: None,
+        }
+    }
+
+    /// Permits currently free.
+    pub fn available(&self) -> usize {
+        self.st.lock().available
+    }
+
+    /// Acquires currently queued.
+    pub fn waiters(&self) -> usize {
+        self.st.lock().waiters.len()
+    }
+}
+
+/// Future returned by [`Gate::acquire`].
+pub struct Acquire<'a> {
+    gate: &'a Gate,
+    task: TaskId,
+    /// Our entry in the waiter queue while we wait; `None` before the
+    /// first contended poll and again once a permit is taken.
+    wait_id: Option<u64>,
+}
+
+impl<'a> Future for Acquire<'a> {
+    type Output = Permit<'a>;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let gate = self.gate;
+        let mut st = gate.st.lock();
+        if st.available > 0 {
+            st.available -= 1;
+            if let Some(id) = self.wait_id.take() {
+                st.remove(id);
+            }
+            // With several permits, two releases can both have woken us
+            // while we were the front: the one we leave goes to the next.
+            let next = st.baton();
+            drop(st);
+            gate.port.get(self.task, gate.rid, 1);
+            if let Some(w) = next {
+                w.wake();
+            }
+            return Poll::Ready(Permit {
+                gate,
+                task: self.task,
+            });
+        }
+        match self.wait_id {
+            Some(id) => {
+                // Woken but lost the race (or spurious): refresh the waker.
+                if let Some((_, w)) = st.waiters.iter_mut().find(|(w, _)| *w == id) {
+                    w.clone_from(cx.waker());
+                }
+            }
+            None => {
+                let id = st.next_wait;
+                st.next_wait += 1;
+                st.waiters.push_back((id, cx.waker().clone()));
+                self.wait_id = Some(id);
+                drop(st);
+                gate.port.slow_by(self.task, gate.rid, 1);
+            }
+        }
+        Poll::Pending
+    }
+}
+
+impl Drop for Acquire<'_> {
+    fn drop(&mut self) {
+        let Some(id) = self.wait_id else {
+            return; // never waited, or a permit exists and release is its job
+        };
+        let mut st = self.gate.st.lock();
+        st.remove(id);
+        // Pass the baton: a release may have woken *us* just before the
+        // drop; if a permit is free the next waiter must hear about it.
+        let next = st.baton();
+        drop(st);
+        if let Some(w) = next {
+            w.wake();
         }
     }
 }
 
-impl<T> std::ops::Deref for TracedLockGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.guard.as_ref().expect("guard live until drop")
-    }
-}
-
-impl<T> std::ops::DerefMut for TracedLockGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.guard.as_mut().expect("guard live until drop")
-    }
-}
-
-impl<T> Drop for TracedLockGuard<'_, T> {
-    fn drop(&mut self) {
-        drop(self.guard.take());
-        self.lock.port.free(self.task, self.lock.rid, 1);
-    }
-}
-
-/// A counting semaphore of concurrency tickets (the live analog of a
-/// bounded worker/connection pool slot), reported as a QUEUE resource.
-pub struct TicketSemaphore {
-    port: Arc<dyn RuntimePort>,
-    rid: ResourceId,
-    available: Mutex<usize>,
-    freed: Condvar,
-}
-
-/// RAII permit returned by [`TicketSemaphore::acquire`].
-pub struct TicketPermit<'a> {
-    sem: &'a TicketSemaphore,
+/// RAII permit of a [`Gate`]; emits `free` and wakes the front waiter on
+/// drop — including the drop performed by an abort.
+pub struct Permit<'a> {
+    gate: &'a Gate,
     task: TaskId,
 }
 
-impl TicketSemaphore {
-    /// Registers a QUEUE resource named `name` with `capacity` tickets.
-    pub fn new(port: Arc<dyn RuntimePort>, name: &str, capacity: usize) -> Self {
-        let rid = port.register_resource(name, ResourceType::Queue);
-        Self {
-            port,
-            rid,
-            available: Mutex::new(capacity),
-            freed: Condvar::new(),
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut st = self.gate.st.lock();
+        st.available += 1;
+        let next = st.baton();
+        drop(st);
+        self.gate.port.free(self.task, self.gate.rid, 1);
+        if let Some(w) = next {
+            w.wake();
         }
-    }
-
-    /// The Atropos resource this semaphore reports to.
-    pub fn resource_id(&self) -> ResourceId {
-        self.rid
-    }
-
-    /// Acquires one ticket on behalf of `task`, blocking until available.
-    pub fn acquire(&self, task: TaskId) -> TicketPermit<'_> {
-        let mut available = self.available.lock();
-        if *available == 0 {
-            self.port.slow_by(task, self.rid, 1);
-            while *available == 0 {
-                self.freed.wait(&mut available);
-            }
-        }
-        *available -= 1;
-        drop(available);
-        self.port.get(task, self.rid, 1);
-        TicketPermit { sem: self, task }
-    }
-
-    /// Tickets currently available.
-    pub fn available(&self) -> usize {
-        *self.available.lock()
     }
 }
 
-impl Drop for TicketPermit<'_> {
-    fn drop(&mut self) {
-        {
-            let mut available = self.sem.available.lock();
-            *available += 1;
-        }
-        self.sem.freed.notify_one();
-        self.sem.port.free(self.task, self.sem.rid, 1);
+struct Unpark(Thread);
+
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
     }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
+/// Drives `fut` to completion on the calling thread, parking between
+/// polls — the thread substrate's whole waiting primitive. The waker is
+/// cached per thread, so a future that never waits allocates nothing.
+pub fn block_on<F: Future>(fut: F) -> F::Output {
+    thread_local! {
+        static WAKER: Waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+    }
+    let mut fut = pin!(fut);
+    WAKER.with(|waker| {
+        let mut cx = Context::from_waker(waker);
+        loop {
+            if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
+                return out;
+            }
+            // A stale unpark only costs one extra poll.
+            std::thread::park();
+        }
+    })
 }
 
 /// What one [`LruBuffer::access`] batch did.
@@ -205,11 +301,6 @@ impl LruBuffer {
                 tick: 0,
             }),
         }
-    }
-
-    /// The Atropos resource this buffer reports to.
-    pub fn resource_id(&self) -> ResourceId {
-        self.rid
     }
 
     /// Touches `pages` on behalf of `task`: hits are re-ranked, misses
@@ -275,66 +366,12 @@ mod tests {
     use super::*;
     use atropos::{AtroposConfig, AtroposRuntime};
     use atropos_sim::SystemClock;
-    use std::time::Duration;
 
     fn runtime() -> Arc<AtroposRuntime> {
         Arc::new(AtroposRuntime::new(
             AtroposConfig::default(),
             Arc::new(SystemClock::new()),
         ))
-    }
-
-    #[test]
-    fn traced_lock_emits_get_and_free() {
-        let rt = runtime();
-        let lock = TracedLock::new(rt.clone(), "l", 5u32);
-        let t = rt.create_cancel(None);
-        {
-            let mut g = lock.lock(t);
-            *g += 1;
-        }
-        assert_eq!(*lock.lock(t), 6);
-        let s = rt.stats();
-        // Two uncontended acquires: get+free each, no slow_by.
-        assert_eq!(s.trace_events, 4);
-    }
-
-    #[test]
-    fn traced_lock_contended_emits_slow_by() {
-        let rt = runtime();
-        let lock = Arc::new(TracedLock::new(rt.clone(), "l", ()));
-        let holder = rt.create_cancel(None);
-        let waiter = rt.create_cancel(None);
-        let g = lock.lock(holder);
-        let lock2 = lock.clone();
-        let h = std::thread::spawn(move || {
-            let _g = lock2.lock(waiter); // blocks until the holder releases
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        drop(g);
-        h.join().unwrap();
-        // holder: get+free; waiter: slow_by+get+free.
-        assert_eq!(rt.stats().trace_events, 5);
-    }
-
-    #[test]
-    fn semaphore_blocks_at_capacity_and_wakes() {
-        let rt = runtime();
-        let sem = Arc::new(TicketSemaphore::new(rt.clone(), "tickets", 1));
-        let a = rt.create_cancel(None);
-        let b = rt.create_cancel(None);
-        let permit = sem.acquire(a);
-        assert_eq!(sem.available(), 0);
-        let sem2 = sem.clone();
-        let h = std::thread::spawn(move || {
-            let _p = sem2.acquire(b); // must wait for the release
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        drop(permit);
-        h.join().unwrap();
-        assert_eq!(sem.available(), 1);
-        // a: get+free; b: slow_by+get+free.
-        assert_eq!(rt.stats().trace_events, 5);
     }
 
     #[test]

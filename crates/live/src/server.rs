@@ -1,22 +1,28 @@
-//! The mini-server: a bounded worker pool serving classed requests over
-//! the traced resources.
+//! The mini-server: classed requests served over the traced resources,
+//! written once for every execution shell.
 //!
-//! Workers pull [`Request`]s from a shared [`WorkQueue`] and execute them
-//! with real blocking on the shared [`TracedLock`], [`TicketSemaphore`]
-//! and [`LruBuffer`]. The `Culprit` classes are the live analogs of the
-//! paper's culprit studies: a lock hog (MySQL's blocked-writes case
-//! family), a buffer-sweeping scan (the Figure 2 dump), and a
-//! ticket-queue hog (the connection-pool-exhaustion family) — all
-//! cancellable only at their own checkpoints via [`CancelToken`].
+//! [`serve`] is the request script: what a victim-class request and each
+//! culprit family *do* to the shared [`Gate`]s and [`LruBuffer`]. The
+//! `Culprit` classes are the live analogs of the paper's culprit studies:
+//! a lock hog (MySQL's blocked-writes case family), a buffer-sweeping
+//! scan (the Figure 2 dump), and a ticket-queue hog (the
+//! connection-pool-exhaustion family). The script is an `async fn` over
+//! the [`ServerCore`] and knows nothing about how it is executed: a
+//! [`Shell`] supplies the two things that differ, and the RAII
+//! [`TaskScope`] settles the request either way. All runtime interaction
+//! flows through [`ServerCore::port`], so chaos middleware wrapped over
+//! the runtime sees the complete protocol.
 //!
-//! All runtime interaction flows through the [`ServerCtx::port`]
-//! (`Arc<dyn RuntimePort>`), so chaos middleware wrapped over the runtime
-//! sees the complete protocol.
+//! The rest of this file is the *thread* shell: [`ServerCtx`] adds a
+//! [`WorkQueue`] and a token registry to the core, and [`worker_loop`]
+//! runs `block_on(serve(..))` per request.
 
 use std::collections::VecDeque;
+use std::future::Future;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use atropos::{AtroposRuntime, TaskId};
 use atropos_metrics::LatencyHistogram;
@@ -25,8 +31,8 @@ use atropos_substrate::RuntimePort;
 use parking_lot::{Condvar, Mutex};
 
 use crate::harness::LiveConfig;
-use crate::resources::{LruBuffer, TicketSemaphore, TracedLock};
-use crate::token::CancelRegistry;
+use crate::resources::{block_on, Gate, LruBuffer};
+use crate::token::{CancelRegistry, CancelToken};
 
 /// Which long-running culprit behaviour a culprit request exhibits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,25 +137,62 @@ pub struct ServerMetrics {
     pub victim: Mutex<LatencyHistogram>,
     /// End-to-end latency of culprit requests.
     pub culprit: Mutex<LatencyHistogram>,
-    /// Requests accepted into the queue by the generator.
+    /// Requests accepted by the server from the generator.
     pub offered: AtomicU64,
-    /// Normal requests completed.
-    pub victims_completed: AtomicU64,
     /// Culprit requests whose handler started executing.
     pub culprits_started: AtomicU64,
-    /// Culprit requests completed (canceled or not).
-    pub culprits_completed: AtomicU64,
-    /// Culprit requests that observed their cancel token and unwound.
+    /// Culprit requests that were canceled: they observed their token and
+    /// unwound, or their future was dropped.
     pub culprits_canceled: AtomicU64,
     /// Runtime-clock stamp when the first culprit began executing
     /// (0 = none yet).
     pub first_culprit_start_ns: AtomicU64,
 }
 
-/// Everything a worker thread needs, bundled for `Arc` sharing.
-pub struct ServerCtx {
-    /// The concrete runtime, kept for introspection (stats, snapshots).
-    pub rt: Arc<AtroposRuntime>,
+impl ServerMetrics {
+    /// Counts a culprit beginning to execute at `now_ns` on the runtime's
+    /// clock, and stamps the first.
+    pub fn culprit_started(&self, now_ns: u64) {
+        self.culprits_started.fetch_add(1, Ordering::Relaxed);
+        let _ = self.first_culprit_start_ns.compare_exchange(
+            0,
+            now_ns.max(1),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+    }
+
+    /// Delay from the first culprit starting to the first cancellation
+    /// delivered (`first_delivery_ns`, same clock), if both happened.
+    pub fn time_to_cancel(&self, first_delivery_ns: Option<u64>) -> Option<Duration> {
+        let start_ns = self.first_culprit_start_ns.load(Ordering::Acquire);
+        first_delivery_ns
+            .filter(|&cancel_ns| start_ns != 0 && cancel_ns >= start_ns)
+            .map(|cancel_ns| Duration::from_nanos(cancel_ns - start_ns))
+    }
+
+    /// Records one request settled at `now_ns`. A victim is measured only
+    /// if it finished; a culprit always, and counts as canceled if it was
+    /// told to stop or never finished.
+    fn settle(&self, req: &Request, now_ns: u64, finished: bool, canceled: bool) {
+        let latency = now_ns.saturating_sub(req.enqueued_ns);
+        match req.class {
+            RequestClass::Normal if finished => {
+                self.victim.lock().record(latency);
+            }
+            RequestClass::Normal => {}
+            RequestClass::Culprit(_) => {
+                self.culprit.lock().record(latency);
+                if canceled || !finished {
+                    self.culprits_canceled.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+}
+
+/// The substrate-neutral server state every shell serves over.
+pub struct ServerCore {
     /// The port every component emits through. Usually the runtime
     /// itself; under fault injection or probing it is a middleware stack
     /// ending at `rt`.
@@ -157,57 +200,36 @@ pub struct ServerCtx {
     /// The runtime's clock (shared so latency stamps and cancellation
     /// stamps are comparable).
     pub clock: Arc<dyn Clock>,
-    /// Token registry; installed as the cancel initiator in Atropos mode.
-    pub registry: Arc<CancelRegistry>,
     /// The shared table lock (LOCK resource).
-    pub table: TracedLock<()>,
+    pub table: Gate,
     /// Concurrency tickets (QUEUE resource).
-    pub tickets: TicketSemaphore,
+    pub tickets: Gate,
     /// The LRU page buffer (MEMORY resource).
     pub buffer: LruBuffer,
-    /// The offered-load queue.
-    pub queue: WorkQueue,
     /// Global shutdown flag: culprits release at their next checkpoint.
+    /// Shutdown plumbing, not cancellation — it bounds the run when the
+    /// harness ends, identically in every shell.
     pub stop: AtomicBool,
     /// Service-time and workload parameters.
     pub cfg: LiveConfig,
     /// Completion metrics.
-    pub metrics: ServerMetrics,
+    pub metrics: Arc<ServerMetrics>,
 }
 
-impl ServerCtx {
-    /// Builds the server state over `rt`, registering the three traced
-    /// resources. Emission goes straight to the runtime.
-    pub fn new(rt: Arc<AtroposRuntime>, registry: Arc<CancelRegistry>, cfg: LiveConfig) -> Self {
-        let port = rt.clone();
-        Self::with_port(rt, port, registry, cfg)
-    }
-
-    /// Like [`ServerCtx::new`], but emits through `port` — a middleware
-    /// stack whose innermost layer is `rt`. The concrete handle is kept
-    /// only for end-of-run introspection.
-    pub fn with_port(
-        rt: Arc<AtroposRuntime>,
-        port: Arc<dyn RuntimePort>,
-        registry: Arc<CancelRegistry>,
-        cfg: LiveConfig,
-    ) -> Self {
-        let clock = rt.clock();
-        let table = TracedLock::new(port.clone(), "table_lock", ());
-        let tickets = TicketSemaphore::new(port.clone(), "tickets", cfg.tickets);
-        let buffer = LruBuffer::new(port.clone(), "buffer_pool", cfg.lru_capacity);
+impl ServerCore {
+    /// Builds the server state on `rt`'s clock with emission through `port`
+    /// — a middleware stack whose innermost layer is `rt` — registering
+    /// the three traced resources.
+    pub fn new(rt: &AtroposRuntime, port: Arc<dyn RuntimePort>, cfg: LiveConfig) -> Self {
         Self {
-            rt,
+            table: Gate::lock(port.clone(), "table_lock"),
+            tickets: Gate::queue(port.clone(), "tickets", cfg.tickets),
+            buffer: LruBuffer::new(port.clone(), "buffer_pool", cfg.lru_capacity),
+            metrics: Arc::default(),
             port,
-            clock,
-            registry,
-            table,
-            tickets,
-            buffer,
-            queue: WorkQueue::default(),
+            clock: rt.clock(),
             stop: AtomicBool::new(false),
             cfg,
-            metrics: ServerMetrics::default(),
         }
     }
 
@@ -217,129 +239,224 @@ impl ServerCtx {
     }
 }
 
-/// The worker-thread body: serve until the queue closes and drains.
-pub fn worker_loop(ctx: &ServerCtx) {
-    while let Some(req) = ctx.queue.pop() {
-        handle(ctx, req);
+/// What an execution shell supplies to the request script.
+pub trait Shell {
+    /// Waits for `d`: parks the thread, or parks the task on a timer.
+    fn sleep(&self, d: Duration) -> impl Future<Output = ()> + Send;
+
+    /// Has this request been told to stop? A cooperative checkpoint test;
+    /// constant `false` where cancellation is future drop.
+    fn canceled(&self) -> bool;
+}
+
+/// RAII settlement for one request. Constructed when the request is taken
+/// up and owned by whatever serves it, dropped when that ends — **by any
+/// means**. A request that ran its script to the end (a cooperative
+/// unwind included) marks itself finished first; a dropped future, or a
+/// request refused at a door, ends with `finished` still false and the
+/// destructor settles it as a drop: `record_drop` keeps the detector's
+/// completion series whole for a unit that will never finish,
+/// `free_cancel` retires the cancel handle. The shell's own per-request
+/// state is dropped after the settlement, so its destructor is the place
+/// for what must follow it (re-admitting backlog).
+pub struct TaskScope<S: Shell> {
+    port: Arc<dyn RuntimePort>,
+    metrics: Arc<ServerMetrics>,
+    /// The runtime task serving the request.
+    pub task: TaskId,
+    /// The request being served.
+    pub req: Request,
+    /// Set once the request has run to its end.
+    pub finished: bool,
+    /// The shell's per-request state.
+    pub shell: S,
+}
+
+impl<S: Shell> TaskScope<S> {
+    /// Opens the unit for `req` on `port`: `create_cancel` + `unit_started`.
+    pub fn begin(
+        port: &Arc<dyn RuntimePort>,
+        metrics: &Arc<ServerMetrics>,
+        req: Request,
+        shell: S,
+    ) -> Self {
+        let task = port.create_cancel(Some(req.key));
+        port.unit_started(task);
+        Self {
+            port: port.clone(),
+            metrics: metrics.clone(),
+            task,
+            req,
+            finished: false,
+            shell,
+        }
     }
 }
 
-fn handle(ctx: &ServerCtx, req: Request) {
-    let task = ctx.port.create_cancel(Some(req.key));
-    ctx.port.unit_started(task);
-    match req.class {
-        RequestClass::Normal => handle_normal(ctx, task, req.key),
-        RequestClass::Culprit(kind) => handle_culprit(ctx, task, req.key, kind),
-    }
-    ctx.port.unit_finished(task);
-    ctx.port.free_cancel(task);
-    let latency = ctx.clock.now_ns().saturating_sub(req.enqueued_ns);
-    match req.class {
-        RequestClass::Normal => {
-            ctx.metrics.victim.lock().record(latency);
-            ctx.metrics
-                .victims_completed
-                .fetch_add(1, Ordering::Relaxed);
+impl<S: Shell> Drop for TaskScope<S> {
+    fn drop(&mut self) {
+        if self.finished {
+            self.port.unit_finished(self.task);
+        } else {
+            self.port.record_drop();
         }
-        RequestClass::Culprit(_) => {
-            ctx.metrics.culprit.lock().record(latency);
-            ctx.metrics
-                .culprits_completed
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.port.free_cancel(self.task);
+        let now_ns = self.port.clock().now_ns();
+        self.metrics
+            .settle(&self.req, now_ns, self.finished, self.shell.canceled());
     }
 }
 
-fn handle_normal(ctx: &ServerCtx, task: TaskId, key: u64) {
-    let _permit = ctx.tickets.acquire(task);
+/// The request script: serves `scope.req` to its end over `core`.
+pub async fn serve<S: Shell>(core: Arc<ServerCore>, mut scope: TaskScope<S>) {
+    let (task, key) = (scope.task, scope.req.key);
+    match scope.req.class {
+        RequestClass::Normal => serve_normal(&core, &scope.shell, task, key).await,
+        RequestClass::Culprit(kind) => serve_culprit(&core, &scope.shell, task, kind).await,
+    }
+    scope.finished = true;
+}
+
+/// Touches `pages` and pays the load cost of the misses (the disk read
+/// the simulator charges as virtual time). A request dropped mid-penalty
+/// simply stops paying it: the eviction events were already attributed at
+/// access time.
+async fn touch(core: &ServerCore, shell: &impl Shell, task: TaskId, pages: &[u64]) {
+    let stats = core.buffer.access(task, pages);
+    if stats.misses > 0 {
+        let misses = u32::try_from(stats.misses).unwrap_or(u32::MAX);
+        shell.sleep(core.cfg.miss_penalty * misses).await;
+    }
+}
+
+async fn serve_normal(core: &ServerCore, shell: &impl Shell, task: TaskId, key: u64) {
+    let _permit = core.tickets.acquire(task).await;
     {
-        let _g = ctx.table.lock(task);
-        std::thread::sleep(ctx.cfg.normal_hold);
+        let _g = core.table.acquire(task).await;
+        shell.sleep(core.cfg.normal_hold).await;
     }
     // A small strided window over the hot page range.
-    let n = ctx.cfg.pages_per_request as u64;
-    let base = (key * n) % ctx.cfg.hot_pages.max(1);
-    let pages: Vec<u64> = (0..n)
-        .map(|i| (base + i) % ctx.cfg.hot_pages.max(1))
-        .collect();
-    let stats = ctx.buffer.access(task, &pages);
-    if stats.misses > 0 {
-        // Model the load cost of a miss (the disk read the simulator
-        // charges as virtual time).
-        std::thread::sleep(ctx.cfg.miss_penalty * stats.misses as u32);
+    let n = core.cfg.pages_per_request as u64;
+    let hot = core.cfg.hot_pages.max(1);
+    let base = (key * n) % hot;
+    let pages: Vec<u64> = (0..n).map(|i| (base + i) % hot).collect();
+    touch(core, shell, task, &pages).await;
+}
+
+/// True while a culprit should keep going: not told to stop, the harness
+/// not shutting down, and `culprit_hold` not yet elapsed.
+fn holding(core: &ServerCore, shell: &impl Shell, started: Instant) -> bool {
+    !shell.canceled() && !core.stopping() && started.elapsed() < core.cfg.culprit_hold
+}
+
+/// Sits on whatever the caller holds, in `checkpoint`-sized chunks: each
+/// chunk boundary is a cancellation checkpoint where the shell has one,
+/// and keeps shutdown prompt where it has not.
+async fn hold(core: &ServerCore, shell: &impl Shell, started: Instant) {
+    while holding(core, shell, started) {
+        shell.sleep(core.cfg.checkpoint).await;
     }
 }
 
-fn handle_culprit(ctx: &ServerCtx, task: TaskId, key: u64, kind: CulpritKind) {
-    ctx.metrics.culprits_started.fetch_add(1, Ordering::Relaxed);
-    let _ = ctx.metrics.first_culprit_start_ns.compare_exchange(
-        0,
-        ctx.clock.now_ns().max(1),
-        Ordering::AcqRel,
-        Ordering::Acquire,
-    );
-    let token = ctx.registry.register(key);
+async fn serve_culprit(core: &ServerCore, shell: &impl Shell, task: TaskId, kind: CulpritKind) {
+    core.metrics.culprit_started(core.clock.now_ns());
     // Barely-started progress: the GetNext signal that makes the policy
     // prefer canceling this task over nearly-done victims.
-    ctx.port.progress(task, 1, 100);
+    core.port.progress(task, 1, 100);
     let started = Instant::now();
     match kind {
         CulpritKind::LockHog => {
-            let guard = ctx.table.lock(task);
-            while !token.is_canceled()
-                && !ctx.stopping()
-                && started.elapsed() < ctx.cfg.culprit_hold
-            {
-                std::thread::sleep(ctx.cfg.checkpoint);
-            }
-            drop(guard);
+            let _guard = core.table.acquire(task).await;
+            hold(core, shell, started).await;
         }
         CulpritKind::TicketHog => {
-            // Take every ticket, one blocking acquire at a time, then camp
-            // on the full set. Normal requests need a ticket first, so
-            // admission starves until this task is canceled or done.
-            let mut permits = Vec::with_capacity(ctx.cfg.tickets);
-            for _ in 0..ctx.cfg.tickets {
-                permits.push(ctx.tickets.acquire(task));
+            // Take every ticket, one acquire at a time, then camp on the
+            // full set. Normal requests need a ticket first, so admission
+            // starves until this task is canceled or done.
+            let mut permits = Vec::with_capacity(core.cfg.tickets);
+            for _ in 0..core.cfg.tickets {
+                permits.push(core.tickets.acquire(task).await);
             }
-            while !token.is_canceled()
-                && !ctx.stopping()
-                && started.elapsed() < ctx.cfg.culprit_hold
-            {
-                std::thread::sleep(ctx.cfg.checkpoint);
-            }
-            drop(permits);
+            hold(core, shell, started).await;
         }
         CulpritKind::Scan => {
-            let _permit = ctx.tickets.acquire(task);
-            let mut page = ctx.cfg.hot_pages; // cold range: never hits
-            let mut scanned = 0u64;
-            while !token.is_canceled()
-                && !ctx.stopping()
-                && scanned < ctx.cfg.scan_pages
-                && started.elapsed() < ctx.cfg.culprit_hold
-            {
-                let stats = ctx.buffer.access(task, &[page]);
-                if stats.misses > 0 {
-                    std::thread::sleep(ctx.cfg.miss_penalty);
+            let _permit = core.tickets.acquire(task).await;
+            // Cold range: never hits.
+            let cold = core.cfg.hot_pages..core.cfg.hot_pages + core.cfg.scan_pages;
+            for page in cold {
+                if !holding(core, shell, started) {
+                    break;
                 }
-                page += 1;
-                scanned += 1;
+                touch(core, shell, task, &[page]).await;
             }
         }
     }
-    if token.is_canceled() {
-        ctx.metrics
-            .culprits_canceled
-            .fetch_add(1, Ordering::Relaxed);
+}
+
+// ------------------------------------------------------- thread shell --
+
+/// The thread shell's per-request state: waiting is `thread::sleep`, and
+/// the one class with a checkpoint — a culprit — carries the
+/// [`CancelToken`] registered under its key.
+impl Shell for Option<CancelToken> {
+    async fn sleep(&self, d: Duration) {
+        std::thread::sleep(d);
     }
-    ctx.registry.unregister(key);
+
+    fn canceled(&self) -> bool {
+        self.as_ref().is_some_and(CancelToken::is_canceled)
+    }
+}
+
+/// Everything a worker thread needs, bundled for `Arc` sharing: the core
+/// (reached by deref) plus the thread shell's own two pieces.
+pub struct ServerCtx {
+    core: Arc<ServerCore>,
+    /// Token registry; installed as the cancel initiator in Atropos mode.
+    pub registry: Arc<CancelRegistry>,
+    /// The offered-load queue.
+    pub queue: WorkQueue,
+}
+
+impl ServerCtx {
+    /// Builds the server state over `rt` with emission through `port`.
+    pub fn with_port(
+        rt: Arc<AtroposRuntime>,
+        port: Arc<dyn RuntimePort>,
+        registry: Arc<CancelRegistry>,
+        cfg: LiveConfig,
+    ) -> Self {
+        Self {
+            core: Arc::new(ServerCore::new(&rt, port, cfg)),
+            registry,
+            queue: WorkQueue::default(),
+        }
+    }
+}
+
+impl Deref for ServerCtx {
+    type Target = ServerCore;
+    fn deref(&self) -> &ServerCore {
+        &self.core
+    }
+}
+
+/// The worker-thread body: serve until the queue closes and drains.
+pub fn worker_loop(ctx: &ServerCtx) {
+    while let Some(req) = ctx.queue.pop() {
+        let token = ctx.registry.token_for(&req);
+        let registered = token.is_some().then_some(req.key);
+        let scope = TaskScope::begin(&ctx.port, &ctx.metrics, req, token);
+        block_on(serve(ctx.core.clone(), scope));
+        if let Some(key) = registered {
+            ctx.registry.unregister(key);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn queue_fifo_and_close_semantics() {
@@ -359,6 +476,40 @@ mod tests {
         assert_eq!(q.pop().unwrap().key, 2);
         assert!(q.pop().is_none());
         assert!(q.is_empty());
+    }
+
+    /// The miss penalty is part of the script: a cold victim really waits
+    /// `miss_penalty` per page it loads.
+    #[test]
+    fn script_pays_the_miss_penalty_per_missed_page() {
+        use atropos::AtroposConfig;
+        use atropos_sim::SystemClock;
+
+        let rt = Arc::new(AtroposRuntime::new(
+            AtroposConfig::default(),
+            Arc::new(SystemClock::new()),
+        ));
+        let cfg = LiveConfig {
+            normal_hold: Duration::ZERO,
+            pages_per_request: 2,
+            miss_penalty: Duration::from_millis(5),
+            ..LiveConfig::default()
+        };
+        let ctx = ServerCtx::with_port(rt.clone(), rt, Arc::new(CancelRegistry::new()), cfg);
+        let serve_one = || {
+            let req = Request {
+                class: RequestClass::Normal,
+                key: 0,
+                enqueued_ns: ctx.clock.now_ns(),
+            };
+            let start = Instant::now();
+            let scope = TaskScope::begin(&ctx.port, &ctx.metrics, req, None::<CancelToken>);
+            block_on(serve(ctx.core.clone(), scope));
+            start.elapsed()
+        };
+        assert!(serve_one() >= Duration::from_millis(10), "two cold pages");
+        assert_eq!(ctx.buffer.len(), 2);
+        assert_eq!(ctx.metrics.victim.lock().count(), 1);
     }
 
     #[test]
