@@ -71,9 +71,8 @@ fn bench_policies(c: &mut Criterion) {
 fn bench_policy_index(c: &mut Criterion) {
     use atropos::policy::PolicyIndex;
     use atropos::resource::ResourceRegistry;
-    use atropos::task::TaskRecord;
+    use atropos::task::{TaskRecord, TaskTable};
     use atropos::{AtroposConfig, PolicyKind};
-    use std::collections::HashMap;
 
     let mut g = c.benchmark_group("policy_index");
     g.sample_size(30);
@@ -83,11 +82,13 @@ fn bench_policy_index(c: &mut Criterion) {
     }
     let cfg = AtroposConfig::default();
 
-    // `busy` tasks keep an open unit and held resources, so every window
-    // re-derives them; the rest touch a resource once, release it, and
-    // settle into the quiescent fixpoint after two rolls.
-    let build = |n: usize, busy: usize| -> HashMap<TaskId, TaskRecord> {
-        let mut tasks = HashMap::new();
+    // `busy` tasks keep an open unit and held LOCK units, so they stay in
+    // the visit set and every window re-derives them; the rest touch a
+    // resource once, release it, and park after two rolls.
+    let build = |n: usize, busy: usize| -> (TaskTable, PolicyIndex) {
+        let mut index = PolicyIndex::new();
+        index.reset(N_RESOURCES);
+        let mut tasks = TaskTable::new(0);
         for i in 0..n {
             let mut t = TaskRecord::new(TaskId(i as u64), TaskKey(i as u64), 0, N_RESOURCES);
             if i < busy {
@@ -100,54 +101,50 @@ fn bench_policy_index(c: &mut Criterion) {
                 t.usage[i % N_RESOURCES].on_get(10, 1);
                 t.usage[i % N_RESOURCES].on_free(20, 1);
             }
-            t.roll_window(1_000_000);
-            tasks.insert(TaskId(i as u64), t);
+            tasks.insert(t);
         }
-        tasks
+        tasks.roll(1_000_000);
+        (tasks, index)
     };
 
     for &n in &[4096usize, 16384] {
-        let tasks = build(n, n);
-        g.bench_with_input(BenchmarkId::new("full_build", n), &tasks, |b, ts| {
-            let mut index = PolicyIndex::new();
+        let (mut tasks, mut index) = build(n, n);
+        g.bench_function(BenchmarkId::new("full_build", n), |b| {
             b.iter(|| {
-                index.invalidate_all();
-                index.refresh(black_box(ts), &reg, &cfg);
+                // What a resource registration costs the next tick: the
+                // index starts over and every task is visited.
+                tasks.grow_resources(N_RESOURCES, &mut index);
+                tasks.refresh(black_box(&mut index), &reg, &cfg, true);
             })
         });
     }
 
-    // Steady state: K busy tasks churn inside a large, mostly quiescent
-    // population. Each iteration is one tick — roll every window (idle
-    // tasks short-circuit) and refresh the index.
+    // Steady state: K busy tasks churn inside a large, parked population.
+    // Each iteration is one candidate tick — roll and refresh the visit
+    // set, settle the index.
     let n = 16384usize;
     for &k in &[16usize, 256] {
-        let mut tasks = build(n, k);
-        let mut index = PolicyIndex::new();
+        let (mut tasks, mut index) = build(n, k);
         let mut now = 1_000_000u64;
-        // Settle the idle population into quiescent+settled slots.
+        // Park the idle population.
         for _ in 0..2 {
             now += 1_000_000;
-            for t in tasks.values_mut() {
-                t.roll_window(now);
-            }
-            index.refresh(&tasks, &reg, &cfg);
+            tasks.roll(now);
+            tasks.refresh(&mut index, &reg, &cfg, true);
         }
+        assert_eq!(tasks.visited(), k);
         g.bench_function(BenchmarkId::new("delta_refresh", k), |b| {
             b.iter(|| {
                 now += 1_000_000;
-                for t in tasks.values_mut() {
-                    t.roll_window(now);
-                }
-                index.refresh(black_box(&tasks), &reg, &cfg);
+                tasks.roll(now);
+                tasks.refresh(black_box(&mut index), &reg, &cfg, true);
             })
         });
     }
 
     // Indexed selection over a fully refreshed 16k-task index.
-    let tasks = build(n, n);
-    let mut index = PolicyIndex::new();
-    index.refresh(&tasks, &reg, &cfg);
+    let (mut tasks, mut index) = build(n, n);
+    tasks.refresh(&mut index, &reg, &cfg, true);
     g.bench_function(BenchmarkId::new("select", n), |b| {
         b.iter(|| black_box(&index).select(PolicyKind::MultiObjective))
     });
@@ -187,5 +184,45 @@ fn bench_estimate(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_policies, bench_policy_index, bench_estimate);
+/// Where a tick's time goes as the resident population grows, read from
+/// the runtime's own phase timer: `TickLoad` populations of 1k/4k/16k
+/// parked MEMORY holders around 256 touched tasks, idle and overloaded.
+/// Not a timed closure — the runtime did the timing — so the records are
+/// printed directly in the shim's `BENCHRESULT` format, one per phase
+/// (mean ns per tick) plus the whole tick.
+fn bench_tick_phases(_: &mut Criterion) {
+    use atropos::phase::TickPhase;
+    use atropos_bench::tickload::TickLoad;
+
+    const WINDOWS: u32 = 200;
+    for (kind, overloaded) in [("idle", false), ("overloaded", true)] {
+        for residents in [1024usize, 4096, 16384] {
+            let mut load = TickLoad::new(residents, 256, overloaded);
+            let phases = load.phases_over(WINDOWS);
+            let mut tick_ns = 0.0;
+            for phase in TickPhase::ALL {
+                let mean = phases.sum_ns(phase) as f64 / f64::from(WINDOWS);
+                tick_ns += mean;
+                println!(
+                    "BENCHRESULT {{\"id\":\"tick_phases/{kind}/{residents}/{}\",\"ns_per_iter\":{mean:.2},\"iters\":{WINDOWS}}}",
+                    phase.name()
+                );
+            }
+            println!(
+                "tick_phases/{kind}/{residents}  time: {tick_ns:.0} ns/tick over {WINDOWS} ticks"
+            );
+            println!(
+                "BENCHRESULT {{\"id\":\"tick_phases/{kind}/{residents}/tick\",\"ns_per_iter\":{tick_ns:.2},\"iters\":{WINDOWS}}}"
+            );
+        }
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_policies,
+    bench_policy_index,
+    bench_estimate,
+    bench_tick_phases
+);
 criterion_main!(benches);

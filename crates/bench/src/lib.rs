@@ -14,6 +14,7 @@
 
 pub mod capacity;
 pub mod scaling;
+pub mod tickload;
 
 pub use atropos_scenarios::experiments::{all_ids, run_by_id, ExpOptions, ExpReport};
 

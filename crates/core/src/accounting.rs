@@ -149,22 +149,41 @@ impl UsageStats {
         self.last_window
     }
 
-    /// True if rolling another window would be a no-op: no open wait or
-    /// hold interval, nothing held, nothing accumulated this window, and
-    /// the published window already all-zero. Used by
-    /// [`TaskRecord::roll_window`](crate::task::TaskRecord::roll_window)
-    /// to skip idle tasks entirely.
-    pub(crate) fn is_quiescent(&self) -> bool {
+    /// True if the window just published is the one every later roll
+    /// publishes again, event-free, except for `hold_ns`: no open wait,
+    /// no acquire, free, slow-by or wait in the window, and any hold
+    /// either still open or absent from it. With `counted` (a MEMORY
+    /// resource, whose gain is the unit count) an open hold is allowed —
+    /// its only per-window change is `hold_ns = Δ`, which the policy
+    /// index adds in closed form; where the gain is hold *time*
+    /// (LOCK/QUEUE/SYSTEM) a holder is never steady. Meaningful right
+    /// after [`UsageStats::roll_window`], when the accumulators are zero.
+    pub(crate) fn window_steady(&self, counted: bool) -> bool {
+        let w = &self.last_window;
         self.wait_since.is_none()
-            && self.hold_since.is_none()
-            && self.held == 0
-            && self.last_window == WindowUsage::default()
-            && self.w_acquired == 0
-            && self.w_freed == 0
-            && self.w_slow_events == 0
-            && self.w_slow_amount == 0
-            && self.w_wait_ns == 0
-            && self.w_hold_ns == 0
+            && w.acquired == 0
+            && w.freed == 0
+            && w.slow_events == 0
+            && w.slow_amount == 0
+            && w.wait_ns == 0
+            && if self.hold_since.is_some() {
+                counted
+            } else {
+                w.hold_ns == 0
+            }
+    }
+
+    /// Brings an open hold of a *parked* task (see
+    /// [`TaskTable`](crate::task::TaskTable)) to the state eager rolling
+    /// would have left: every roll it sat out charged the elapsed time and
+    /// renewed the interval, the last one — at `last_roll`, `last_delta`
+    /// after the one before — publishing `hold_ns = last_delta`.
+    pub(crate) fn catch_up_hold(&mut self, last_roll: u64, last_delta: u64) {
+        if let Some(since) = self.hold_since {
+            self.total_hold_ns += last_roll.saturating_sub(since);
+            self.hold_since = Some(last_roll);
+            self.last_window.hold_ns = last_delta;
+        }
     }
 
     /// True if the task is currently waiting on this resource.
@@ -322,19 +341,40 @@ mod tests {
     }
 
     #[test]
-    fn quiescence_requires_closed_intervals_and_zero_windows() {
+    fn steady_windows_need_closed_waits_and_only_counted_holds() {
         let mut s = UsageStats::default();
-        assert!(s.is_quiescent());
+        assert!(s.window_steady(false));
         s.on_get(10, 1);
-        assert!(!s.is_quiescent()); // holding
-        s.on_free(20, 1);
-        assert!(!s.is_quiescent()); // window accumulators non-zero
         s.roll_window(100);
-        assert!(!s.is_quiescent()); // published window non-zero
+        assert!(!s.window_steady(true)); // acquired in the window
         s.roll_window(200);
-        assert!(s.is_quiescent()); // second roll publishes all-zero
-        s.on_slow(210, 1);
-        assert!(!s.is_quiescent()); // open wait interval
+        assert!(s.window_steady(true)); // only the open hold is left
+        assert!(!s.window_steady(false)); // ... whose time is the gain
+        s.on_free(210, 1);
+        s.roll_window(300);
+        assert!(!s.window_steady(true)); // freed, and a closed hold
+        s.roll_window(400);
+        assert!(s.window_steady(true) && s.window_steady(false));
+        s.on_slow(410, 1);
+        s.roll_window(500);
+        s.roll_window(600);
+        assert!(!s.window_steady(true)); // open wait interval
+    }
+
+    #[test]
+    fn catch_up_equals_the_rolls_it_replaces() {
+        let mut eager = UsageStats::default();
+        eager.on_get(10, 3);
+        eager.roll_window(100);
+        eager.roll_window(200);
+        let mut parked = eager.clone();
+        for now in [350, 350, 420] {
+            eager.roll_window(now);
+        }
+        parked.catch_up_hold(420, 70);
+        assert_eq!(parked.total_hold_ns, eager.total_hold_ns);
+        assert_eq!(parked.window(), eager.window());
+        assert_eq!(parked.hold_ns_upto(500), eager.hold_ns_upto(500));
     }
 
     #[test]

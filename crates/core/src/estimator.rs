@@ -93,18 +93,24 @@ impl EstimatorSnapshot {
     /// Resources whose raw contention exceeds `min_contention`, most
     /// contended first.
     pub fn bottlenecked(&self, min_contention: f64) -> Vec<ResourceId> {
-        let mut hot: Vec<&ResourceSnapshot> = self
-            .resources
-            .iter()
-            .filter(|r| r.contention >= min_contention)
-            .collect();
-        hot.sort_by(|a, b| {
-            b.contention
-                .partial_cmp(&a.contention)
-                .expect("contention is finite")
-        });
-        hot.iter().map(|r| r.id).collect()
+        bottlenecked(&self.resources, min_contention)
     }
+}
+
+/// [`EstimatorSnapshot::bottlenecked`] over the per-resource figures
+/// alone, which is all it reads: the tick answers it from the policy
+/// index's O(R) snapshots without materializing any task.
+pub(crate) fn bottlenecked(resources: &[ResourceSnapshot], min_contention: f64) -> Vec<ResourceId> {
+    let mut hot: Vec<&ResourceSnapshot> = resources
+        .iter()
+        .filter(|r| r.contention >= min_contention)
+        .collect();
+    hot.sort_by(|a, b| {
+        b.contention
+            .partial_cmp(&a.contention)
+            .expect("contention is finite")
+    });
+    hot.iter().map(|r| r.id).collect()
 }
 
 /// One task's contribution to the estimation pass: its published window
@@ -146,16 +152,6 @@ impl TaskTerms {
             progress: None,
             active: false,
         }
-    }
-
-    /// True if these terms are indistinguishable from [`TaskTerms::zero`]
-    /// as far as sums, gains and activity go (key/cancellable/progress may
-    /// differ): once a task reaches this state it contributes nothing
-    /// until a new event arrives.
-    pub fn is_zero(&self) -> bool {
-        !self.active
-            && self.window_active_ns == 0
-            && self.windows.iter().all(|w| *w == WindowUsage::default())
     }
 }
 

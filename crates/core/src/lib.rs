@@ -72,6 +72,7 @@ pub mod estimator;
 pub mod guide;
 pub mod ids;
 pub mod lockfree;
+pub mod phase;
 pub mod policy;
 pub mod progress;
 pub mod record;

@@ -16,16 +16,19 @@
 //!   invalidation: a max is recomputed from the resource's postings list
 //!   only when its argmax slot shrank or was removed.
 //!
-//! The refresh protocol leans on task-side quiescence: `decide` rolls
-//! every task's window each tick, and a task whose roll published an
-//! all-zero window with nothing open reports
-//! [`window_quiescent`](crate::task::TaskRecord::window_quiescent). Such
-//! a task's derived terms cannot have changed, so `refresh` re-derives a
-//! slot only when the task is non-quiescent, the slot has not yet cached
-//! the all-zero fixpoint (`settled`), or out-of-band state changed
-//! (progress reports and cancellability flips are marked dirty; task
-//! removal and resource registration have their own hooks). The common
-//! steady-state cost per tick is O(busy tasks · R), not O(n·R).
+//! Which slots are re-derived is not the index's decision: the
+//! [`TaskTable`](crate::task::TaskTable) owns the one membership notion,
+//! its visit set, and drives the index through
+//! [`update_task`](PolicyIndex::update_task) (a visited task's window
+//! moved), [`park`](PolicyIndex::park) / [`unpark`](PolicyIndex::unpark)
+//! (a task left / rejoined the visit set),
+//! [`remove_task`](PolicyIndex::remove_task) and
+//! [`reset`](PolicyIndex::reset). A parked task's terms are constant but
+//! for `hold_ns` on the MEMORY units it pins, which grows by the tick's
+//! `Δ` for every parked holder alike; the index keeps **parked-holder
+//! counts** per resource and [`settle`](PolicyIndex::settle) adds
+//! `Δ × holders` to the hold sum in closed form. Per-tick cost is
+//! O(visited · R), not O(n·R).
 //!
 //! Selection reuses the skyline arguments (see
 //! [`skyline`](super::skyline)): candidates are the union of postings
@@ -53,20 +56,14 @@ use crate::task::TaskRecord;
 struct Slot {
     task: TaskId,
     terms: TaskTerms,
-    /// True when `terms` is the all-zero fixpoint of a quiescent task:
-    /// together with [`TaskRecord::window_quiescent`] this licenses
-    /// skipping the slot at refresh. A quiescent task whose cache still
-    /// holds its last non-zero window needs exactly one more derivation
-    /// to settle.
-    settled: bool,
 }
 
 /// Running maximum over one resource's raw gains, with lazy invalidation.
 ///
 /// Invariant: when `valid`, `(val, slot)` is the exact maximum and its
 /// argmax; when invalid, `val` is an upper bound (the argmax slot shrank
-/// or left). Invalid entries are recomputed from the postings list at the
-/// end of every refresh, so reads between refreshes are exact.
+/// or left). Invalid entries are recomputed from the postings list by
+/// `fix_max_tracks` before anything reads a maximum.
 #[derive(Debug, Clone, Copy)]
 struct MaxTrack {
     val: f64,
@@ -119,44 +116,50 @@ pub struct PolicyIndex {
     max_current: Vec<MaxTrack>,
     // Global window sums across all slots (including inactive tasks,
     // which can still publish e.g. a freed-this-window hold interval).
+    // `hold` leaves out what parked slots hold: see `parked_holders`.
     wait: Vec<u64>,
     hold: Vec<u64>,
     acquired: Vec<u64>,
     slow: Vec<u64>,
     t_exec: u64,
-    /// Cached per-resource contention snapshot, rebuilt (O(R)) at the end
-    /// of every refresh.
+    /// Per resource: parked slots with units of it held. Each publishes
+    /// `hold_ns = Δ` in every window it sits out, so their share of the
+    /// hold sum is `Δ × holders`, added by `settle`; their cached
+    /// `hold_ns` is kept at zero.
+    parked_holders: Vec<u64>,
+    /// Cached per-resource contention snapshot, rebuilt (O(R)) by
+    /// `settle`.
     resources: Vec<ResourceSnapshot>,
-    /// Tasks whose non-window state (progress, cancellability) changed
-    /// since the last refresh.
-    dirty: HashSet<TaskId>,
-    /// Force a full rebuild at the next refresh (initial state, or the
-    /// resource set changed under us).
-    stale: bool,
     /// Buffers the next derivation writes into; see `update_task`.
     spare: TaskTerms,
 }
 
 impl PolicyIndex {
-    /// An empty index; the first [`PolicyIndex::refresh`] performs a full
-    /// build.
+    /// An empty index over no resources.
     pub fn new() -> Self {
-        PolicyIndex {
-            stale: true,
+        Self::default()
+    }
+
+    /// Drops every slot and sizes the index for `n` resources (a resource
+    /// was registered, which changes every per-task vector length).
+    pub fn reset(&mut self, n: usize) {
+        *self = PolicyIndex {
+            n,
+            postings: vec![HashSet::new(); n],
+            max_future: vec![MaxTrack::default(); n],
+            max_current: vec![MaxTrack::default(); n],
+            wait: vec![0; n],
+            hold: vec![0; n],
+            acquired: vec![0; n],
+            slow: vec![0; n],
+            parked_holders: vec![0; n],
             ..Default::default()
-        }
+        };
     }
 
-    /// Marks one task's out-of-band state (progress, cancellability) as
-    /// changed, forcing re-derivation at the next refresh.
-    pub fn mark_dirty(&mut self, task: TaskId) {
-        self.dirty.insert(task);
-    }
-
-    /// Removes a task's slot, unwinding its contribution to the global
-    /// sums and postings. No-op for unknown tasks.
-    pub fn remove_task(&mut self, task: TaskId) {
-        self.dirty.remove(&task);
+    /// Removes a visited task's slot, unwinding its contribution to the
+    /// global sums and postings. No-op for tasks the index has not seen.
+    pub(crate) fn remove_task(&mut self, task: TaskId) {
         let Some(slot) = self.by_task.remove(&task) else {
             return;
         };
@@ -177,91 +180,63 @@ impl PolicyIndex {
         }
     }
 
-    /// Marks the whole index stale (e.g. a resource was registered, which
-    /// changes every per-task vector length); the next refresh rebuilds.
-    pub fn invalidate_all(&mut self) {
-        self.stale = true;
-    }
-
-    /// Brings the index up to date with the task registry. Must be called
-    /// after the tick's window rolls and before
-    /// [`select`](PolicyIndex::select) /
-    /// [`materialize`](PolicyIndex::materialize) /
-    /// [`gain_terms`](PolicyIndex::gain_terms); those read cached state
-    /// and are only exact immediately after a refresh.
-    pub fn refresh(
-        &mut self,
-        tasks: &HashMap<TaskId, TaskRecord>,
-        resources: &ResourceRegistry,
-        cfg: &AtroposConfig,
-    ) {
-        if self.stale || resources.len() != self.n {
-            self.rebuild(tasks, resources, cfg);
-            return;
-        }
-        for (id, t) in tasks {
-            let slot = self.by_task.get(id).copied();
-            let needs = match slot {
-                None => true,
-                Some(s) => {
-                    !t.window_quiescent()
-                        || !self.slots[s as usize].as_ref().expect("live slot").settled
-                        || self.dirty.contains(id)
-                }
-            };
-            if needs {
-                self.update_task(*id, slot, t, resources, cfg);
+    /// `task` left the visit set right after
+    /// [`update_task`](PolicyIndex::update_task): from the next window on
+    /// its holds are summed in closed form.
+    pub(crate) fn park(&mut self, task: TaskId) {
+        let slot = self.by_task[&task] as usize;
+        let terms = &mut self.slots[slot].as_mut().expect("live slot").terms;
+        for (i, w) in terms.windows.iter_mut().enumerate() {
+            if w.held_at_end > 0 {
+                self.hold[i] -= w.hold_ns;
+                w.hold_ns = 0;
+                self.parked_holders[i] += 1;
             }
         }
-        self.dirty.clear();
-        debug_assert_eq!(
-            self.by_task.len(),
-            tasks.len(),
-            "slot for a removed task survived (missing remove_task hook?)"
-        );
+    }
+
+    /// `task` rejoined the visit set (or is about to be removed): undoes
+    /// [`park`](PolicyIndex::park). Its slot stays at the parked terms
+    /// until the next [`update_task`](PolicyIndex::update_task).
+    pub(crate) fn unpark(&mut self, task: TaskId) {
+        let slot = self.by_task[&task] as usize;
+        let terms = &self.slots[slot].as_ref().expect("live slot").terms;
+        for (i, w) in terms.windows.iter().enumerate() {
+            if w.held_at_end > 0 {
+                self.parked_holders[i] -= 1;
+            }
+        }
+    }
+
+    /// Makes the index exact for the window that just closed, `delta` ns
+    /// after the one before, given that every visited task went through
+    /// [`update_task`](PolicyIndex::update_task) since: recomputes
+    /// invalidated maxima and rebuilds the per-resource snapshots from the
+    /// sums plus the parked holders' `delta × holders`. Must precede
+    /// [`select`](PolicyIndex::select) /
+    /// [`gain_terms`](PolicyIndex::gain_terms) /
+    /// [`resources`](PolicyIndex::resources).
+    pub(crate) fn settle(&mut self, resources: &ResourceRegistry, delta: u64) {
+        debug_assert_eq!(resources.len(), self.n, "registered without reset");
         self.fix_max_tracks();
+        let hold: Vec<u64> = (0..self.n)
+            .map(|i| self.hold[i] + delta * self.parked_holders[i])
+            .collect();
         self.resources = resource_snapshots_from_sums(
             resources,
             &self.wait,
-            &self.hold,
+            &hold,
             &self.acquired,
             &self.slow,
             self.t_exec,
         );
     }
 
-    fn rebuild(
-        &mut self,
-        tasks: &HashMap<TaskId, TaskRecord>,
-        resources: &ResourceRegistry,
-        cfg: &AtroposConfig,
-    ) {
-        self.n = resources.len();
-        self.slots.clear();
-        self.free.clear();
-        self.by_task.clear();
-        self.dirty.clear();
-        self.postings = vec![HashSet::new(); self.n];
-        self.max_future = vec![MaxTrack::default(); self.n];
-        self.max_current = vec![MaxTrack::default(); self.n];
-        self.wait = vec![0; self.n];
-        self.hold = vec![0; self.n];
-        self.acquired = vec![0; self.n];
-        self.slow = vec![0; self.n];
-        self.t_exec = 0;
-        for (id, t) in tasks {
-            self.update_task(*id, None, t, resources, cfg);
-        }
-        self.stale = false;
-        self.fix_max_tracks();
-        self.resources = resource_snapshots_from_sums(
-            resources,
-            &self.wait,
-            &self.hold,
-            &self.acquired,
-            &self.slow,
-            self.t_exec,
-        );
+    /// The per-resource contention figures of the last
+    /// [settled](PolicyIndex::settle) window, indexed by
+    /// `ResourceId::index()`.
+    pub fn resources(&self) -> &[ResourceSnapshot] {
+        &self.resources
     }
 
     fn alloc_slot(&mut self, id: TaskId) -> usize {
@@ -271,7 +246,6 @@ impl PolicyIndex {
                 self.slots[s as usize] = Some(Slot {
                     task: id,
                     terms: TaskTerms::zero(self.n),
-                    settled: true,
                 });
                 s as usize
             }
@@ -279,7 +253,6 @@ impl PolicyIndex {
                 self.slots.push(Some(Slot {
                     task: id,
                     terms: TaskTerms::zero(self.n),
-                    settled: true,
                 }));
                 self.slots.len() - 1
             }
@@ -288,30 +261,29 @@ impl PolicyIndex {
         slot
     }
 
-    /// Re-derives one task's terms and folds the delta into the global
-    /// sums, postings lists and max tracks. `slot` is the task's existing
-    /// slot, `None` for a task the index has not seen.
-    fn update_task(
+    /// Re-derives one visited task's terms from the window it just
+    /// published and folds the delta into the global sums, postings lists
+    /// and max tracks, allocating a slot for a task the index has not
+    /// seen.
+    pub(crate) fn update_task(
         &mut self,
-        id: TaskId,
-        slot: Option<u32>,
         t: &TaskRecord,
         resources: &ResourceRegistry,
         cfg: &AtroposConfig,
     ) {
+        debug_assert_eq!(resources.len(), self.n, "registered without reset");
         // Derive into the spare buffers, then swap them with the slot's:
         // `spare` holds the old terms for the delta fold below and is
-        // overwritten by the next derivation, so a refresh allocates only
+        // overwritten by the next derivation, so an update allocates only
         // for tasks it has not seen before.
         derive_task_terms(t, resources, cfg, &mut self.spare);
-        let slot = match slot {
-            Some(s) => s as usize,
-            None => self.alloc_slot(id),
+        let slot = match self.by_task.get(&t.id) {
+            Some(&s) => s as usize,
+            None => self.alloc_slot(t.id),
         };
         let su = slot as u32;
         let slot_ref = self.slots[slot].as_mut().expect("live slot");
         std::mem::swap(&mut slot_ref.terms, &mut self.spare);
-        slot_ref.settled = slot_ref.terms.is_zero();
         let (old, new) = (&self.spare, &slot_ref.terms);
         self.t_exec = self.t_exec - old.window_active_ns + new.window_active_ns;
         for i in 0..self.n {
@@ -522,8 +494,12 @@ impl PolicyIndex {
     /// Materializes the full [`EstimatorSnapshot`] (tasks in slot order)
     /// for observers — the recorder, `last_estimate`, the chaos checker —
     /// into `out`, overwriting whatever it held and reusing its buffers.
-    /// O(active tasks · R).
-    pub fn materialize(&self, out: &mut EstimatorSnapshot) {
+    /// O(active tasks · R), parked ones included: nothing on the decision
+    /// path calls this. Equal to a fresh [`estimate`](crate::estimator::estimate)
+    /// when read right after [`settle`](PolicyIndex::settle); later, the
+    /// slots that parking updated since show their newer window.
+    pub fn materialize(&mut self, out: &mut EstimatorSnapshot) {
+        self.fix_max_tracks();
         let max_future: Vec<f64> = self.max_future.iter().map(|m| m.val).collect();
         let max_current: Vec<f64> = self.max_current.iter().map(|m| m.val).collect();
         out.resources.clone_from(&self.resources);
@@ -552,6 +528,7 @@ mod tests {
     use crate::estimator::estimate;
     use crate::ids::ResourceType;
     use crate::policy::testutil::canon;
+    use crate::task::TaskTable;
     use proptest::prelude::*;
 
     const KINDS: [PolicyKind; 3] = [
@@ -560,187 +537,275 @@ mod tests {
         PolicyKind::CurrentUsage,
     ];
 
-    fn registry() -> ResourceRegistry {
-        let mut r = ResourceRegistry::new();
-        r.register("pool", ResourceType::Memory); // id 0
-        r.register("lock", ResourceType::Lock); // id 1
-        r.register("queue", ResourceType::Queue); // id 2
-        r
+    /// The production pair — a [`TaskTable`] whose visit set drives a
+    /// [`PolicyIndex`] — run in lockstep with the eager reference: a plain
+    /// map of records that every tick rolls one and all, read by the batch
+    /// `estimate` + `select_naive`. Every mutation goes to both.
+    struct Lockstep {
+        reg: ResourceRegistry,
+        cfg: AtroposConfig,
+        eager: HashMap<TaskId, TaskRecord>,
+        tasks: TaskTable,
+        index: PolicyIndex,
     }
 
-    fn cfg() -> AtroposConfig {
-        AtroposConfig::default()
-    }
-
-    /// Asserts the index agrees with a fresh batch estimate and that all
-    /// three policies' selections are bit-identical to the naive oracle.
-    fn assert_matches_naive(
-        index: &PolicyIndex,
-        tasks: &HashMap<TaskId, TaskRecord>,
-        reg: &ResourceRegistry,
-        cfg: &AtroposConfig,
-    ) {
-        let fresh = estimate(tasks.values(), reg, cfg);
-        let mut materialized = EstimatorSnapshot::default();
-        index.materialize(&mut materialized);
-        assert_eq!(canon(materialized), canon(fresh.clone()));
-        for kind in KINDS {
-            let naive = kind.build().select_naive(&fresh);
-            assert_eq!(index.select(kind), naive, "kind {kind:?}");
-            if let Some(sel) = naive {
-                assert_eq!(
-                    index.gain_terms(sel.task),
-                    crate::policy::gain_terms(&fresh, sel.task),
-                    "gain terms for {:?}",
-                    sel.task
-                );
+    impl Lockstep {
+        /// pool (MEMORY, id 0), lock (LOCK, id 1), then `extra` QUEUEs.
+        fn new(extra: usize) -> Self {
+            let mut reg = ResourceRegistry::new();
+            reg.register("pool", ResourceType::Memory);
+            reg.register("lock", ResourceType::Lock);
+            for _ in 0..extra {
+                reg.register("queue", ResourceType::Queue);
+            }
+            let mut index = PolicyIndex::new();
+            index.reset(reg.len());
+            Lockstep {
+                reg,
+                cfg: AtroposConfig::default(),
+                eager: HashMap::new(),
+                tasks: TaskTable::new(0),
+                index,
             }
         }
+
+        fn create(&mut self, id: u64, now: u64) {
+            let id = TaskId(id);
+            if !self.eager.contains_key(&id) {
+                let rec = || TaskRecord::new(id, TaskKey(id.0), now, self.reg.len());
+                self.eager.insert(id, rec());
+                self.tasks.insert(rec());
+            }
+        }
+
+        fn remove(&mut self, id: u64) {
+            let was = self.eager.remove(&TaskId(id)).is_some();
+            let removed = self.tasks.remove(TaskId(id), &mut self.index);
+            assert_eq!(removed.is_some(), was);
+        }
+
+        /// Applies `f` to the task on both sides. The touch is a catch-up
+        /// point: whatever the record sat out while parked, it must read
+        /// exactly like its eagerly rolled twin before `f` runs.
+        fn apply(&mut self, id: u64, f: impl Fn(&mut TaskRecord)) {
+            let Some(e) = self.eager.get_mut(&TaskId(id)) else {
+                return;
+            };
+            let t = self.tasks.touch(TaskId(id), &mut self.index).unwrap();
+            assert_same_accounting(t, e);
+            f(t);
+            f(e);
+        }
+
+        fn register(&mut self) {
+            self.reg.register("extra", ResourceType::Queue);
+            for t in self.eager.values_mut() {
+                t.ensure_resources(self.reg.len());
+            }
+            self.tasks.grow_resources(self.reg.len(), &mut self.index);
+        }
+
+        fn parked(&self) -> usize {
+            self.tasks.len() - self.tasks.visited()
+        }
+
+        /// A tick that decides nothing: windows roll, steady tasks park.
+        fn idle_tick(&mut self, now: u64) {
+            for t in self.eager.values_mut() {
+                t.roll_window(now);
+            }
+            self.tasks.roll(now);
+            self.tasks
+                .refresh(&mut self.index, &self.reg, &self.cfg, false);
+        }
+
+        /// A candidate tick: the settled index must agree with a fresh
+        /// batch estimate of the eager records — per-resource sums
+        /// (`hold_ns` with its closed-form share) and per-task gains —
+        /// and all three policies' selections must be bit-identical to
+        /// the naive oracle on that estimate.
+        fn tick(&mut self, now: u64) {
+            for t in self.eager.values_mut() {
+                t.roll_window(now);
+            }
+            self.tasks.roll(now);
+            self.tasks
+                .refresh(&mut self.index, &self.reg, &self.cfg, true);
+            let fresh = estimate(self.eager.values(), &self.reg, &self.cfg);
+            assert_eq!(self.index.resources(), &fresh.resources[..]);
+            let mut materialized = EstimatorSnapshot::default();
+            self.index.materialize(&mut materialized);
+            assert_eq!(canon(materialized), canon(fresh.clone()));
+            for kind in KINDS {
+                let naive = kind.build().select_naive(&fresh);
+                assert_eq!(self.index.select(kind), naive, "kind {kind:?}");
+                if let Some(sel) = naive {
+                    assert_eq!(
+                        self.index.gain_terms(sel.task),
+                        crate::policy::gain_terms(&fresh, sel.task),
+                        "gain terms for {:?}",
+                        sel.task
+                    );
+                }
+            }
+        }
+
+        /// The other catch-up point: with every parked record caught up,
+        /// each task reads like its eager twin.
+        fn assert_records_caught_up(&mut self) {
+            self.tasks.catch_up_parked();
+            assert_eq!(self.tasks.len(), self.eager.len());
+            for t in self.tasks.iter() {
+                assert_same_accounting(t, &self.eager[&t.id]);
+            }
+        }
+    }
+
+    /// Full-state equality of two records' accounting (`UsageStats`'
+    /// `Debug` prints every field, open intervals and accumulators
+    /// included).
+    fn assert_same_accounting(a: &TaskRecord, b: &TaskRecord) {
+        assert_eq!(format!("{:?}", a.usage), format!("{:?}", b.usage));
+        assert_eq!(a.total_active_ns, b.total_active_ns);
+        assert_eq!(a.window_active_ns(), b.window_active_ns());
     }
 
     #[test]
     fn fresh_index_matches_batch_estimate() {
-        let reg = registry();
-        let cfg = cfg();
-        let mut tasks: HashMap<TaskId, TaskRecord> = HashMap::new();
+        let mut ls = Lockstep::new(1);
         for id in 1..=4u64 {
-            let mut t = TaskRecord::new(TaskId(id), TaskKey(id), 0, reg.len());
-            t.usage[0].on_get(0, 100 * id);
-            t.usage[1].on_slow(0, 1);
-            t.on_unit_start(0);
-            t.roll_window(1000);
-            tasks.insert(TaskId(id), t);
+            ls.create(id, 0);
+            ls.apply(id, |t| {
+                t.usage[0].on_get(0, 100 * t.id.0);
+                t.usage[1].on_slow(0, 1);
+                t.on_unit_start(0);
+            });
         }
-        let mut index = PolicyIndex::new();
-        index.refresh(&tasks, &reg, &cfg);
-        assert_matches_naive(&index, &tasks, &reg, &cfg);
+        ls.tick(1000);
 
         // The tick hands `materialize` the previous window's snapshot to
         // overwrite: a stale, larger one must leave nothing behind.
         let mut reused = EstimatorSnapshot::default();
-        index.materialize(&mut reused);
+        ls.index.materialize(&mut reused);
         assert_eq!(reused.tasks.len(), 4);
-        for id in [1, 2] {
-            tasks.remove(&TaskId(id));
-            index.remove_task(TaskId(id));
-        }
-        for t in tasks.values_mut() {
-            t.roll_window(2000);
-        }
-        index.refresh(&tasks, &reg, &cfg);
-        index.materialize(&mut reused);
-        assert_eq!(canon(reused), canon(estimate(tasks.values(), &reg, &cfg)));
+        ls.remove(1);
+        ls.remove(2);
+        ls.tick(2000);
+        ls.index.materialize(&mut reused);
+        assert_eq!(
+            canon(reused),
+            canon(estimate(ls.eager.values(), &ls.reg, &ls.cfg))
+        );
     }
 
     #[test]
-    fn incremental_refresh_tracks_mutation_add_and_remove() {
-        let reg = registry();
-        let cfg = cfg();
-        let mut tasks: HashMap<TaskId, TaskRecord> = HashMap::new();
+    fn updates_track_mutation_add_and_remove() {
+        let mut ls = Lockstep::new(1);
         for id in 1..=3u64 {
-            let mut t = TaskRecord::new(TaskId(id), TaskKey(id), 0, reg.len());
-            t.usage[1].on_get(0, 1);
-            t.usage[1].on_free(10 * id, 1);
-            t.roll_window(1000);
-            tasks.insert(TaskId(id), t);
+            ls.create(id, 0);
+            ls.apply(id, |t| {
+                t.usage[1].on_get(0, 1);
+                t.usage[1].on_free(10 * t.id.0, 1);
+            });
         }
-        let mut index = PolicyIndex::new();
-        index.refresh(&tasks, &reg, &cfg);
-        assert_matches_naive(&index, &tasks, &reg, &cfg);
+        ls.tick(1000);
 
         // Window 2: task 2 gets busy again, task 4 appears, task 3 leaves.
-        for t in tasks.values_mut() {
-            if t.id == TaskId(2) {
-                t.usage[0].on_get(1500, 50);
-                t.note_usage_mutation();
-            }
-        }
-        let mut t4 = TaskRecord::new(TaskId(4), TaskKey(4), 1500, reg.len());
-        t4.usage[2].on_slow(1500, 1);
-        tasks.insert(TaskId(4), t4);
-        tasks.remove(&TaskId(3));
-        index.remove_task(TaskId(3));
-        for t in tasks.values_mut() {
-            t.roll_window(2000);
-        }
-        index.refresh(&tasks, &reg, &cfg);
-        assert_matches_naive(&index, &tasks, &reg, &cfg);
+        ls.apply(2, |t| t.usage[0].on_get(1500, 50));
+        ls.create(4, 1500);
+        ls.apply(4, |t| t.usage[2].on_slow(1500, 1));
+        ls.remove(3);
+        ls.tick(2000);
 
         // Window 3: everyone goes idle; cached windows must settle to the
-        // all-zero fixpoint, not linger at their last non-zero values.
-        for t in tasks.values_mut() {
-            if t.id == TaskId(4) {
-                t.usage[2].on_get(2500, 1);
-                t.usage[2].on_free(2600, 1);
-                t.note_usage_mutation();
-            }
-        }
-        for t in tasks.values_mut() {
-            t.roll_window(3000);
-        }
-        index.refresh(&tasks, &reg, &cfg);
-        assert_matches_naive(&index, &tasks, &reg, &cfg);
-        for t in tasks.values_mut() {
-            t.roll_window(4000);
-        }
-        index.refresh(&tasks, &reg, &cfg);
-        assert_matches_naive(&index, &tasks, &reg, &cfg);
+        // steady terms, not linger at their last non-zero values.
+        ls.apply(4, |t| {
+            t.usage[2].on_get(2500, 1);
+            t.usage[2].on_free(2600, 1);
+        });
+        ls.tick(3000);
+        ls.tick(4000);
+        assert_eq!(ls.parked(), 3);
+        ls.tick(5000);
+        ls.assert_records_caught_up();
     }
 
     #[test]
-    fn dirty_marks_pick_up_out_of_band_changes() {
-        let reg = registry();
-        let cfg = cfg();
-        let mut tasks: HashMap<TaskId, TaskRecord> = HashMap::new();
+    fn touches_pick_up_out_of_band_changes() {
+        let mut ls = Lockstep::new(1);
         for id in 1..=2u64 {
-            let mut t = TaskRecord::new(TaskId(id), TaskKey(id), 0, reg.len());
-            t.usage[0].on_get(0, 100);
-            t.roll_window(1000);
-            t.roll_window(2000); // quiescent + settled... except held pages
-            tasks.insert(TaskId(id), t);
+            ls.create(id, 0);
+            ls.apply(id, |t| t.usage[0].on_get(0, 100));
         }
-        let mut index = PolicyIndex::new();
-        index.refresh(&tasks, &reg, &cfg);
-        assert_matches_naive(&index, &tasks, &reg, &cfg);
+        ls.tick(1000);
+        ls.tick(2000);
+        assert_eq!(ls.parked(), 2);
 
         // Progress report and cancellability flip do not touch windows;
-        // without dirty marks the cache would go stale.
-        tasks.get_mut(&TaskId(1)).unwrap().progress.report(10, 100);
-        index.mark_dirty(TaskId(1));
-        tasks.get_mut(&TaskId(2)).unwrap().cancellable = false;
-        index.mark_dirty(TaskId(2));
-        for t in tasks.values_mut() {
-            t.roll_window(3000);
-        }
-        index.refresh(&tasks, &reg, &cfg);
-        assert_matches_naive(&index, &tasks, &reg, &cfg);
+        // without the touch the parked terms would go stale.
+        ls.apply(1, |t| t.progress.report(10, 100));
+        ls.apply(2, |t| t.cancellable = false);
+        assert_eq!(ls.parked(), 0);
+        ls.tick(3000);
+        assert_eq!(ls.parked(), 2, "nothing else moved: parked again");
+        ls.tick(3500);
     }
 
     #[test]
-    fn resource_registration_invalidates_the_index() {
-        let mut reg = registry();
-        let cfg = cfg();
-        let mut tasks: HashMap<TaskId, TaskRecord> = HashMap::new();
-        let mut t = TaskRecord::new(TaskId(1), TaskKey(1), 0, reg.len());
-        t.usage[1].on_get(0, 1);
-        t.roll_window(1000);
-        tasks.insert(TaskId(1), t);
-        let mut index = PolicyIndex::new();
-        index.refresh(&tasks, &reg, &cfg);
-        assert_matches_naive(&index, &tasks, &reg, &cfg);
+    fn resource_registration_starts_the_index_over() {
+        let mut ls = Lockstep::new(0);
+        ls.create(1, 0);
+        ls.apply(1, |t| t.usage[0].on_get(0, 1));
+        ls.tick(1000);
+        ls.tick(2000);
+        assert_eq!(ls.parked(), 1);
 
-        let rid = reg.register("disk", ResourceType::System);
-        for t in tasks.values_mut() {
-            t.ensure_resources(reg.len());
+        ls.register();
+        assert_eq!(ls.parked(), 0, "every task is visited after a registration");
+        ls.apply(1, |t| t.usage[2].on_slow(2500, 1));
+        ls.tick(3000);
+        ls.assert_records_caught_up();
+    }
+
+    /// The closed form's hard case: the parked holders' share of the hold
+    /// sum is `Δ × holders` with a different Δ every window, while
+    /// holders come (park), go (touch, retire) and a LOCK holder that
+    /// looks just as idle stays visited.
+    #[test]
+    fn parked_memory_holders_sum_in_closed_form_over_jittered_windows() {
+        let mut ls = Lockstep::new(0);
+        for id in 1..=6u64 {
+            ls.create(id, 0);
+            ls.apply(id, |t| t.usage[0].on_get(5, t.id.0));
         }
-        index.invalidate_all();
-        tasks.get_mut(&TaskId(1)).unwrap().usage[rid.index()].on_slow(1500, 1);
-        tasks.get_mut(&TaskId(1)).unwrap().note_usage_mutation();
-        for t in tasks.values_mut() {
-            t.roll_window(2000);
+        ls.create(7, 0);
+        ls.apply(7, |t| t.usage[1].on_get(5, 1));
+        ls.tick(100);
+        ls.tick(250);
+        assert_eq!(ls.parked(), 6, "the LOCK holder must stay visited");
+        let mut now = 250;
+        for (step, delta) in [70, 0, 1300, 1, 450, 90].into_iter().enumerate() {
+            now += delta;
+            match step {
+                1 => ls.apply(2, |t| t.usage[0].on_get(now - 1, 3)), // touch: unpark
+                2 => ls.remove(3),                                   // retire while parked
+                4 => ls.apply(4, |t| t.usage[0].on_free(now - 1, 4)), // stops holding
+                _ => {}
+            }
+            ls.tick(now);
+            let pool = &ls.index.resources()[0];
+            assert_eq!(
+                pool.hold_ns,
+                ls.eager
+                    .values()
+                    .map(|t| t.usage[0].window().hold_ns)
+                    .sum::<u64>()
+            );
         }
-        index.refresh(&tasks, &reg, &cfg);
-        assert_matches_naive(&index, &tasks, &reg, &cfg);
+        ls.idle_tick(now + 40);
+        ls.idle_tick(now + 95);
+        assert_eq!(ls.parked(), 5);
+        ls.assert_records_caught_up();
     }
 
     /// One step of the random delta stream the incremental-vs-rebuild
@@ -757,9 +822,13 @@ mod tests {
         Progress(u64, u64),
         SetCancellable(u64, bool),
         RegisterResource,
-        /// Roll all windows and refresh (a tick boundary) — the only
-        /// point where index state is compared against a fresh build.
+        /// Time passes: tick periods are whatever accumulated.
+        Advance(u64),
+        /// A candidate tick — the point where index state is compared
+        /// against a fresh build.
         Tick,
+        /// A tick that decides nothing: windows roll, steady tasks park.
+        IdleTick,
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
@@ -776,113 +845,115 @@ mod tests {
             (0u64..8, 0u64..120).prop_map(|(t, p)| Op::Progress(t, p)),
             (0u64..8, any::<bool>()).prop_map(|(t, c)| Op::SetCancellable(t, c)),
             Just(Op::RegisterResource),
+            (0u64..500).prop_map(Op::Advance),
             Just(Op::Tick),
             Just(Op::Tick),
             Just(Op::Tick),
+            Just(Op::IdleTick),
+            Just(Op::IdleTick),
+            Just(Op::IdleTick),
         ]
     }
 
     proptest! {
-        /// Incremental-vs-rebuild property: after any delta stream, the
-        /// index's materialized snapshot equals a fresh batch estimate
-        /// and every policy's indexed selection is bit-identical to the
-        /// naive oracle on that fresh snapshot.
+        /// Incremental-vs-rebuild property: after any delta stream — ticks
+        /// at jittered periods, tasks parking between them and being
+        /// touched, retired or re-registered while parked — the index's
+        /// materialized snapshot equals a fresh batch estimate of the
+        /// eagerly rolled records, every policy's indexed selection is
+        /// bit-identical to the naive oracle on that fresh snapshot, and
+        /// every record, once caught up, equals its eager twin.
         #[test]
         fn delta_stream_matches_fresh_build(
-            ops in prop::collection::vec(op_strategy(), 0..120),
+            ops in prop::collection::vec(op_strategy(), 0..300),
         ) {
-            let mut reg = ResourceRegistry::new();
-            reg.register("pool", ResourceType::Memory);
-            reg.register("lock", ResourceType::Lock);
-            let cfg = cfg();
-            let mut tasks: HashMap<TaskId, TaskRecord> = HashMap::new();
-            let mut index = PolicyIndex::new();
+            let mut ls = Lockstep::new(0);
             let mut now = 0u64;
             for op in ops {
                 now += 7;
+                let usage = |r: usize, f: fn(&mut crate::accounting::UsageStats, u64, u64), a: u64| {
+                    move |t: &mut TaskRecord| {
+                        if r < t.usage.len() {
+                            f(&mut t.usage[r], now, a);
+                        }
+                    }
+                };
                 match op {
-                    Op::Create(id) => {
-                        let id = TaskId(id);
-                        tasks
-                            .entry(id)
-                            .or_insert_with(|| TaskRecord::new(id, TaskKey(id.0), now, reg.len()));
-                    }
-                    Op::Remove(id) => {
-                        if tasks.remove(&TaskId(id)).is_some() {
-                            index.remove_task(TaskId(id));
-                        }
-                    }
-                    Op::Get(id, r, a) => {
-                        if let Some(t) = tasks.get_mut(&TaskId(id)) {
-                            if r < t.usage.len() {
-                                t.usage[r].on_get(now, a);
-                                t.note_usage_mutation();
-                            }
-                        }
-                    }
-                    Op::Free(id, r, a) => {
-                        if let Some(t) = tasks.get_mut(&TaskId(id)) {
-                            if r < t.usage.len() {
-                                t.usage[r].on_free(now, a);
-                                t.note_usage_mutation();
-                            }
-                        }
-                    }
-                    Op::Slow(id, r, a) => {
-                        if let Some(t) = tasks.get_mut(&TaskId(id)) {
-                            if r < t.usage.len() {
-                                t.usage[r].on_slow(now, a);
-                                t.note_usage_mutation();
-                            }
-                        }
-                    }
-                    Op::UnitStart(id) => {
-                        if let Some(t) = tasks.get_mut(&TaskId(id)) {
-                            t.on_unit_start(now);
-                        }
-                    }
-                    Op::UnitFinish(id) => {
-                        if let Some(t) = tasks.get_mut(&TaskId(id)) {
-                            t.on_unit_finish(now);
-                        }
-                    }
-                    Op::Progress(id, p) => {
-                        if let Some(t) = tasks.get_mut(&TaskId(id)) {
-                            t.progress.report(p, 100);
-                            index.mark_dirty(TaskId(id));
-                        }
-                    }
-                    Op::SetCancellable(id, c) => {
-                        if let Some(t) = tasks.get_mut(&TaskId(id)) {
-                            t.cancellable = c;
-                            index.mark_dirty(TaskId(id));
-                        }
-                    }
+                    Op::Create(id) => ls.create(id, now),
+                    Op::Remove(id) => ls.remove(id),
+                    Op::Get(id, r, a) => ls.apply(id, usage(r, |u, now, a| u.on_get(now, a), a)),
+                    Op::Free(id, r, a) => ls.apply(id, usage(r, |u, now, a| u.on_free(now, a), a)),
+                    Op::Slow(id, r, a) => ls.apply(id, usage(r, |u, now, a| u.on_slow(now, a), a)),
+                    Op::UnitStart(id) => ls.apply(id, |t| t.on_unit_start(now)),
+                    Op::UnitFinish(id) => ls.apply(id, |t| {
+                        t.on_unit_finish(now);
+                    }),
+                    Op::Progress(id, p) => ls.apply(id, |t| t.progress.report(p, 100)),
+                    Op::SetCancellable(id, c) => ls.apply(id, |t| t.cancellable = c),
                     Op::RegisterResource => {
-                        if reg.len() < 4 {
-                            reg.register("extra", ResourceType::Queue);
-                            for t in tasks.values_mut() {
-                                t.ensure_resources(reg.len());
-                            }
-                            index.invalidate_all();
+                        if ls.reg.len() < 4 {
+                            ls.register();
                         }
                     }
-                    Op::Tick => {
-                        for t in tasks.values_mut() {
-                            t.roll_window(now);
-                        }
-                        index.refresh(&tasks, &reg, &cfg);
-                        assert_matches_naive(&index, &tasks, &reg, &cfg);
-                    }
+                    Op::Advance(ns) => now += ns,
+                    Op::Tick => ls.tick(now),
+                    Op::IdleTick => ls.idle_tick(now),
                 }
             }
             // Final tick so every stream ends with a comparison.
-            now += 7;
-            for t in tasks.values_mut() {
-                t.roll_window(now);
-            }
-            index.refresh(&tasks, &reg, &cfg);
-            assert_matches_naive(&index, &tasks, &reg, &cfg);
+            ls.tick(now + 7);
+            ls.assert_records_caught_up();
         }
+    }
+
+    /// The property is only as strong as the streams it samples: they
+    /// must leave tasks parked across ticks, touch and retire parked
+    /// tasks, and register a resource while some are parked.
+    #[test]
+    fn delta_streams_reach_the_parked_states() {
+        let mut rng = proptest::TestRng::deterministic("index_coverage");
+        let strategy = prop::collection::vec(op_strategy(), 160..161);
+        let (mut parked_ticks, mut unparks, mut parked_removes, mut parked_registers) =
+            (0, 0, 0, 0);
+        for _ in 0..64 {
+            let mut ls = Lockstep::new(0);
+            let mut now = 0u64;
+            for op in strategy.sample(&mut rng) {
+                now += 7;
+                let (tasks, parked) = (ls.tasks.len(), ls.parked());
+                match op {
+                    Op::Create(id) => ls.create(id, now),
+                    Op::Remove(id) => ls.remove(id),
+                    Op::Get(id, r, a) if r < ls.reg.len() => {
+                        ls.apply(id, |t| t.usage[r].on_get(now, a))
+                    }
+                    Op::Free(id, r, a) if r < ls.reg.len() => {
+                        ls.apply(id, |t| t.usage[r].on_free(now, a))
+                    }
+                    Op::RegisterResource if ls.reg.len() < 4 => {
+                        ls.register();
+                        parked_registers += usize::from(parked > 0);
+                        continue;
+                    }
+                    Op::Advance(ns) => now += ns,
+                    Op::Tick | Op::IdleTick => {
+                        ls.idle_tick(now);
+                        parked_ticks += usize::from(ls.parked() > 0);
+                        continue;
+                    }
+                    _ => {}
+                }
+                if ls.tasks.len() < tasks {
+                    parked_removes += parked - ls.parked();
+                } else {
+                    unparks += parked - ls.parked();
+                }
+            }
+        }
+        assert!(
+            parked_ticks >= 200 && unparks >= 100 && parked_removes >= 20 && parked_registers >= 5,
+            "{parked_ticks} parked ticks, {unparks} unparks, {parked_removes} parked removes, \
+             {parked_registers} parked registers"
+        );
     }
 }

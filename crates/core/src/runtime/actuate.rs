@@ -40,7 +40,7 @@ impl AtroposRuntime {
         if inner.cancel.was_canceled(key) {
             rec.cancellable = false;
         }
-        inner.tasks.insert(id, rec);
+        inner.tasks.insert(rec);
         id
     }
 
@@ -51,11 +51,11 @@ impl AtroposRuntime {
         // accounting (not in `ignored_events`) before the record goes.
         let now = self.clock.now_ns();
         let mut inner = self.lock_drained();
-        if let Some(rec) = inner.tasks.remove(&task) {
-            inner.policy_index.remove_task(task);
+        let inner = &mut *inner;
+        if let Some(key) = inner.tasks.remove(task, &mut inner.policy_index) {
             let sink = inner.recorder.clone();
             let handle = RecorderHandle::new(sink.as_deref(), inner.stats.ticks);
-            inner.cancel.note_finished_recorded(now, rec.key, &handle);
+            inner.cancel.note_finished_recorded(now, key, &handle);
         }
     }
 
@@ -118,8 +118,8 @@ impl AtroposRuntime {
     /// hang cancellation.
     pub fn link_child(&self, parent: TaskId, child: TaskId) {
         let mut inner = self.inner.lock();
-        if parent != child && inner.tasks.contains_key(&child) {
-            if let Some(p) = inner.tasks.get_mut(&parent) {
+        if parent != child && inner.tasks.get(child).is_some() {
+            if let Some(p) = inner.touch(parent) {
                 if !p.children.contains(&child) {
                     p.children.push(child);
                 }
@@ -130,19 +130,17 @@ impl AtroposRuntime {
     /// Marks a task as a background task (no SLO; force-re-executed after
     /// the configured maximum wait instead of being dropped).
     pub fn mark_background(&self, task: TaskId) {
-        if let Some(t) = self.inner.lock().tasks.get_mut(&task) {
+        if let Some(t) = self.inner.lock().touch(task) {
             t.background = true;
         }
     }
 
     /// Overrides whether the policy may cancel this task.
     pub fn set_cancellable(&self, task: TaskId, cancellable: bool) {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        if let Some(t) = inner.tasks.get_mut(&task) {
+        // Cancellability is cached in the task's policy-index terms: the
+        // touch gets them re-derived.
+        if let Some(t) = self.inner.lock().touch(task) {
             t.cancellable = cancellable;
-            // Cancellability is cached in the task's policy-index terms.
-            inner.policy_index.mark_dirty(task);
         }
     }
 
@@ -159,18 +157,10 @@ impl AtroposRuntime {
         let mut inner = self.inner.lock();
         let task = inner
             .tasks
-            .values()
+            .iter()
             .find(|t| t.key == key)
             .map(|t| (t.id, t.background, t.origin));
-        let (background, origin) = match task {
-            Some((id, background, origin)) => {
-                if let Some(t) = inner.tasks.get_mut(&id) {
-                    t.state = TaskState::CancelRequested;
-                }
-                (background, origin)
-            }
-            None => (false, None),
-        };
+        let (background, origin) = task.map_or((false, None), |(_, b, o)| (b, o));
         let sink = inner.recorder.clone();
         let handle = RecorderHandle::new(sink.as_deref(), inner.stats.ticks);
         let d = inner.cancel.request_cancel_recorded(
@@ -181,6 +171,11 @@ impl AtroposRuntime {
             &handle,
         );
         if d == CancelDecision::Issued {
+            // Only now was the initiator invoked: a rate-limited or
+            // already-canceled request leaves the task `Running`.
+            if let Some(t) = task.and_then(|(id, ..)| inner.touch(id)) {
+                t.state = TaskState::CancelRequested;
+            }
             // Cross-node blame (§4): operator kills of proxy tasks are
             // attributed to the remote root just like policy cancels.
             if let Some(origin) = origin {
@@ -200,8 +195,7 @@ impl AtroposRuntime {
     /// task are then attributed to the remote root in
     /// [`DebugSnapshot`](crate::DebugSnapshot) blame records.
     pub fn set_task_origin(&self, task: TaskId, origin: crate::task::RemoteOrigin) {
-        let mut inner = self.inner.lock();
-        if let Some(t) = inner.tasks.get_mut(&task) {
+        if let Some(t) = self.inner.lock().touch(task) {
             t.origin = Some(origin);
         }
     }

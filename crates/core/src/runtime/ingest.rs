@@ -25,7 +25,7 @@ impl Inner {
             self.stats.ignored_events += 1;
             return;
         }
-        let Some(t) = self.tasks.get_mut(&task) else {
+        let Some(t) = self.touch(task) else {
             self.stats.ignored_events += 1;
             return;
         };
@@ -35,9 +35,6 @@ impl Inner {
             EventKind::Free => u.on_free(stamp, amount),
             EventKind::SlowBy => u.on_slow(stamp, amount),
         }
-        // Re-arm the task's window roll (and thereby the policy index's
-        // per-slot cache) after a quiescent stretch.
-        t.note_usage_mutation();
         self.stats.trace_events += 1;
     }
 
@@ -86,13 +83,14 @@ impl AtroposRuntime {
         // Drain first: events emitted before this call must resolve
         // against the registry as it was when they were emitted.
         let mut inner = self.lock_drained();
+        let inner = &mut *inner;
+        // The index is about to start over: an estimate still owed from
+        // it has to be built now.
+        inner.materialize_estimate();
         let id = inner.resources.register(name, rtype);
-        let n = inner.resources.len();
-        for t in inner.tasks.values_mut() {
-            t.ensure_resources(n);
-        }
-        // Every cached per-task vector changed length: rebuild.
-        inner.policy_index.invalidate_all();
+        inner
+            .tasks
+            .grow_resources(inner.resources.len(), &mut inner.policy_index);
         id
     }
 
@@ -139,13 +137,10 @@ impl AtroposRuntime {
 
     /// Reports GetNext progress for a task: `done` of `total` work units.
     pub fn report_progress(&self, task: TaskId, done: u64, total: u64) {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        if let Some(t) = inner.tasks.get_mut(&task) {
+        // Progress feeds the future-gain multiplier: the touch gets the
+        // cached terms re-derived though no usage window moved.
+        if let Some(t) = self.inner.lock().touch(task) {
             t.progress.report(done, total);
-            // Progress feeds the future-gain multiplier but leaves the
-            // usage windows untouched; mark the cached terms stale.
-            inner.policy_index.mark_dirty(task);
         }
     }
 
@@ -154,7 +149,7 @@ impl AtroposRuntime {
     /// Marks the start of a work unit (one request) on this task.
     pub fn unit_started(&self, task: TaskId) {
         let now = self.clock.now_ns();
-        if let Some(t) = self.inner.lock().tasks.get_mut(&task) {
+        if let Some(t) = self.inner.lock().touch(task) {
             t.on_unit_start(now);
         }
     }
@@ -164,7 +159,7 @@ impl AtroposRuntime {
     pub fn unit_finished(&self, task: TaskId) -> Option<u64> {
         let now = self.clock.now_ns();
         let mut inner = self.inner.lock();
-        let latency = inner.tasks.get_mut(&task)?.on_unit_finish(now)?;
+        let latency = inner.touch(task)?.on_unit_finish(now)?;
         inner.detector.record_completion(now, latency);
         inner.stats.completions += 1;
         Some(latency)

@@ -25,7 +25,6 @@ mod actuate;
 mod decide;
 mod ingest;
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use atropos_sim::Clock;
@@ -37,10 +36,11 @@ use crate::detect::Detector;
 use crate::estimator::EstimatorSnapshot;
 use crate::ids::{ResourceId, TaskId, TaskKey};
 use crate::lockfree::LockFreeIngest;
+use crate::phase::TickPhases;
 use crate::policy::PolicyIndex;
 use crate::record::Recorder;
 use crate::resource::ResourceRegistry;
-use crate::task::{TaskRecord, TaskState};
+use crate::task::{TaskRecord, TaskState, TaskTable};
 use crate::trace::{TimestampMode, TimestampPolicy, TraceRecord};
 
 /// Auto-generated keys live in the top half of the key space so they never
@@ -99,16 +99,26 @@ pub struct RuntimeStats {
 struct Inner {
     cfg: AtroposConfig,
     resources: ResourceRegistry,
-    tasks: HashMap<TaskId, TaskRecord>,
+    /// The task registry and its visit set: every path that mutates a
+    /// task goes through [`TaskTable::touch`], so a tick looks only at
+    /// tasks something happened to.
+    tasks: TaskTable,
     next_task: u64,
     next_auto_key: u64,
     detector: Detector,
-    /// Incrementally maintained policy state. Kept in sync by the
-    /// ingest/actuate hooks and refreshed on candidate ticks.
+    /// Incrementally maintained policy state, driven by `tasks`.
     policy_index: PolicyIndex,
     cancel: CancelManager,
     ts: TimestampPolicy,
+    /// The snapshot buffer `last_estimate()` hands out; `None` until the
+    /// first overloaded tick.
     last_estimate: Option<EstimatorSnapshot>,
+    /// True when the latest overloaded tick decided from the index alone
+    /// (no recorder attached) and `last_estimate` has not been
+    /// materialized for it yet.
+    estimate_stale: bool,
+    /// Wall-clock cost of each tick phase; see [`crate::phase`].
+    phases: TickPhases,
     regular_overload_hook: Option<Box<dyn Fn() + Send + Sync>>,
     /// Optional decision-trace sink; `None` (the default) keeps every
     /// emission site a single branch with no event construction.
@@ -122,6 +132,23 @@ struct Inner {
     /// Reusable drain buffer, refilled queue by queue so replay never
     /// allocates on the steady state.
     scratch: Vec<TraceRecord>,
+}
+
+impl Inner {
+    /// The one way to a mutable task record: [`TaskTable::touch`], so
+    /// whatever changes puts the task in the visit set.
+    fn touch(&mut self, id: TaskId) -> Option<&mut TaskRecord> {
+        self.tasks.touch(id, &mut self.policy_index)
+    }
+
+    /// Builds the snapshot `last_estimate()` owes its caller, if the
+    /// latest overloaded tick left that for later.
+    fn materialize_estimate(&mut self) {
+        if std::mem::take(&mut self.estimate_stale) {
+            self.policy_index
+                .materialize(self.last_estimate.get_or_insert_with(Default::default));
+        }
+    }
 }
 
 /// The Atropos runtime. See the [crate-level docs](crate) for an overview
@@ -167,10 +194,12 @@ impl AtroposRuntime {
             cancel: CancelManager::new(&cfg),
             ts: TimestampPolicy::new(cfg.sample_interval_ns),
             resources: ResourceRegistry::new(),
-            tasks: HashMap::new(),
+            tasks: TaskTable::new(origin),
             next_task: 1,
             next_auto_key: AUTO_KEY_BASE,
             last_estimate: None,
+            estimate_stale: false,
+            phases: TickPhases::default(),
             regular_overload_hook: None,
             recorder: None,
             stats: RuntimeStats::default(),
@@ -210,9 +239,27 @@ impl AtroposRuntime {
         self.inner.lock().ts.mode()
     }
 
-    /// The estimator snapshot from the most recent overloaded tick.
+    /// The estimator snapshot of the most recent overloaded tick, `None`
+    /// before the first one.
+    ///
+    /// The tick itself decides from the policy index and builds the full
+    /// snapshot only for an attached recorder; otherwise it is
+    /// materialized here, on first read — O(tasks with any gain) — from
+    /// what the index holds at that point. Read before the next tick
+    /// (the only way the chaos checker and the runtime tests read it) it
+    /// equals the reference [`estimate`](crate::estimator::estimate) of
+    /// the window the tick decided on; read later, tasks that parked in
+    /// between show the window they parked with.
     pub fn last_estimate(&self) -> Option<EstimatorSnapshot> {
-        self.inner.lock().last_estimate.clone()
+        let mut inner = self.inner.lock();
+        inner.materialize_estimate();
+        inner.last_estimate.clone()
+    }
+
+    /// Wall-clock cost of each `tick()` phase since the runtime was
+    /// built: always on, see [`crate::phase`].
+    pub fn tick_phases(&self) -> TickPhases {
+        self.inner.lock().phases.clone()
     }
 
     /// Aggregate counters. Drains any buffered trace events first so the
@@ -266,14 +313,18 @@ impl AtroposRuntime {
     /// invariant checkers (see [`crate::debug`]). Buffered trace events
     /// are drained first, so accounting counters are exact at the call
     /// point — the same state a tick at this instant would observe.
+    /// O(registered tasks).
     pub fn debug_snapshot(&self) -> crate::debug::DebugSnapshot {
         use crate::debug::*;
         let now_ns = self.clock.now_ns();
-        let inner = self.lock_drained();
+        let mut inner = self.lock_drained();
+        // Parked tasks' open holds are charged lazily; introspection is
+        // one of the catch-up points.
+        inner.tasks.catch_up_parked();
         let (evaluations, candidates) = inner.detector.counters();
         let mut tasks: Vec<TaskDebug> = inner
             .tasks
-            .values()
+            .iter()
             .map(|t| TaskDebug {
                 id: t.id,
                 key: t.key,
@@ -511,7 +562,7 @@ mod tests {
         }
         let t = rt.create_cancel(Some(5));
         let inner = rt.inner.lock();
-        assert!(!inner.tasks[&t].cancellable);
+        assert!(!inner.tasks.get(t).unwrap().cancellable);
     }
 
     #[test]
@@ -595,7 +646,7 @@ mod tests {
         rt.link_child(a, a); // self
         rt.link_child(a, TaskId(999)); // unknown child
         let inner = rt.inner.lock();
-        assert!(inner.tasks[&a].children.is_empty());
+        assert!(inner.tasks.get(a).unwrap().children.is_empty());
     }
 
     #[test]
@@ -645,26 +696,23 @@ mod tests {
     }
 
     /// The policy reference, checked against the state a non-idle tick
-    /// just decided on: a fresh batch `estimate` over the task map equals
-    /// what the index materialized, `select_naive` over it equals the
-    /// index's selection, and the tick's outcome is the one the reference
-    /// alone would have produced.
+    /// just decided on: a fresh batch `estimate` over every task — the
+    /// parked ones caught up to what eager rolling would have left —
+    /// equals what `last_estimate()` materializes from the index,
+    /// `select_naive` over it equals the index's selection, and the
+    /// tick's outcome is the one the reference alone would have produced.
     fn assert_tick_matches_policy_reference(rt: &AtroposRuntime, outcome: &TickOutcome) {
         use crate::policy::testutil::canon;
-        let inner = rt.inner.lock();
-        let fresh = crate::estimator::estimate(inner.tasks.values(), &inner.resources, &inner.cfg);
-        let mut materialized = EstimatorSnapshot::default();
-        inner.policy_index.materialize(&mut materialized);
-        assert_eq!(canon(materialized), canon(fresh.clone()));
-        assert_eq!(
-            inner.last_estimate.clone().map(canon),
-            Some(canon(fresh.clone()))
-        );
+        let estimate = rt.last_estimate().map(canon);
+        let mut inner = rt.inner.lock();
+        inner.tasks.catch_up_parked();
+        let fresh = crate::estimator::estimate(inner.tasks.iter(), &inner.resources, &inner.cfg);
+        assert_eq!(estimate, Some(canon(fresh.clone())));
         let naive = inner.cfg.policy.build().select_naive(&fresh);
         assert_eq!(inner.policy_index.select(inner.cfg.policy), naive);
         let hot = fresh.bottlenecked(inner.cfg.detector.min_contention);
         match outcome {
-            TickOutcome::Idle => panic!("idle ticks do not refresh the index"),
+            TickOutcome::Idle => panic!("idle ticks do not settle the index"),
             TickOutcome::RegularOverload => assert!(hot.is_empty()),
             TickOutcome::ResourceOverload {
                 resources,
@@ -892,6 +940,10 @@ mod tests {
         UnitFinish(usize),
         Advance(u64),
         Tick,
+        /// A stretch with nothing but ticks, each after its own advance
+        /// (jittered periods, zero included): where steady tasks park, so
+        /// whatever comes next finds them parked.
+        Quiet(Vec<u64>),
         Stats,
         Register,
         ForceMode(TimestampMode),
@@ -921,6 +973,7 @@ mod tests {
             (0u64..3 * MS).prop_map(Op::Advance),
             (0u64..3 * MS).prop_map(Op::Advance),
             Just(Op::Tick),
+            prop::collection::vec(0u64..3 * MS, 2..5).prop_map(Op::Quiet),
             Just(Op::Stats),
             Just(Op::Register),
             any::<bool>().prop_map(|p| Op::ForceMode(if p {
@@ -934,14 +987,50 @@ mod tests {
     /// Everything one run of an op sequence lets the application observe.
     #[derive(Debug, PartialEq)]
     struct Observed {
-        /// Per tick: the outcome and the timestamp mode it left behind.
-        ticks: Vec<(TickOutcome, TimestampMode)>,
+        /// Per tick: the outcome, the timestamp mode it left behind, and
+        /// — for a non-idle one — the estimate it decided on.
+        ticks: Vec<(TickOutcome, TimestampMode, Option<EstimatorSnapshot>)>,
         stats: RuntimeStats,
         /// Per-task accounting of the final snapshot.
         tasks: String,
     }
 
-    fn run_ops(ops: &[Op], cfg: AtroposConfig, feed: Feed) -> Observed {
+    /// How often a run met the visit set's edge cases; not part of
+    /// [`Observed`], since the eager reference never parks anything.
+    #[derive(Debug, Default)]
+    struct VisitCoverage {
+        /// Σ over ticks of tasks left parked.
+        parked_task_ticks: usize,
+        /// Parked tasks touched back into the visit set.
+        unparks: usize,
+        /// Tasks retired while parked.
+        parked_retires: usize,
+        /// Registrations that found tasks parked.
+        parked_registers: usize,
+    }
+
+    /// Puts every task in the visit set, so the next tick rolls and
+    /// re-derives all of them: the eager reference. Every task is back
+    /// before the roll after the one that parked it, so catch-up never has
+    /// a missed roll to charge and the closed form never has a holder.
+    fn visit_all(rt: &AtroposRuntime) {
+        let mut inner = rt.inner.lock();
+        let ids: Vec<TaskId> = inner.tasks.iter().map(|t| t.id).collect();
+        for id in ids {
+            inner.touch(id);
+        }
+    }
+
+    fn run_ops(ops: &[Op], cfg: AtroposConfig, feed: Feed, eager: bool) -> Observed {
+        run_ops_covered(ops, cfg, feed, eager).0
+    }
+
+    fn run_ops_covered(
+        ops: &[Op],
+        cfg: AtroposConfig,
+        feed: Feed,
+        eager: bool,
+    ) -> (Observed, VisitCoverage) {
         let clock = Arc::new(VirtualClock::new());
         let rt = AtroposRuntime::new(cfg, clock.clone());
         rt.set_cancel_action(|_| {});
@@ -950,58 +1039,91 @@ mod tests {
         let mut slots: [Option<TaskId>; 8] = [None; 8];
         let mut live = [false; 8];
         let mut ticks = Vec::new();
+        let mut seen = VisitCoverage::default();
+        let census = || {
+            let inner = rt.inner.lock();
+            (inner.tasks.len(), inner.tasks.len() - inner.tasks.visited())
+        };
+        let tick = |ticks: &mut Vec<_>, seen: &mut VisitCoverage| {
+            if eager {
+                visit_all(&rt);
+            }
+            let outcome = checked_tick(&rt);
+            let estimate = (outcome != TickOutcome::Idle)
+                .then(|| rt.last_estimate().map(crate::policy::testutil::canon))
+                .flatten();
+            ticks.push((outcome, rt.timestamp_mode(), estimate));
+            seen.parked_task_ticks += census().1;
+        };
         for op in ops {
-            match *op {
-                Op::Create(s) => {
+            let (tasks_before, parked_before) = census();
+            match op {
+                &Op::Create(s) => {
                     if !live[s] {
                         slots[s] = Some(rt.create_cancel(Some(s as u64)));
                         live[s] = true;
                     }
                 }
-                Op::FreeCancel(s) => {
+                &Op::FreeCancel(s) => {
                     if let Some(t) = slots[s] {
                         rt.free_cancel(t);
                         live[s] = false;
                     }
                 }
-                Op::Trace(s, r, amount, kind) => {
+                &Op::Trace(s, r, amount, kind) => {
                     if let Some(t) = slots[s] {
                         feed.trace(&rt, t, ResourceId(r), amount, kind);
                     }
                 }
-                Op::Progress(s, done) => {
+                &Op::Progress(s, done) => {
                     if let Some(t) = slots[s] {
                         rt.report_progress(t, done, 100);
                     }
                 }
-                Op::UnitStart(s) => {
+                &Op::UnitStart(s) => {
                     if let Some(t) = slots[s] {
                         rt.unit_started(t);
                     }
                 }
-                Op::UnitFinish(s) => {
+                &Op::UnitFinish(s) => {
                     if let Some(t) = slots[s] {
                         rt.unit_finished(t);
                     }
                 }
-                Op::Advance(ns) => clock.advance_to(SimTime::from_nanos(clock.now_ns() + ns)),
-                Op::Tick => ticks.push((checked_tick(&rt), rt.timestamp_mode())),
+                &Op::Advance(ns) => clock.advance_to(SimTime::from_nanos(clock.now_ns() + ns)),
+                Op::Tick => tick(&mut ticks, &mut seen),
+                Op::Quiet(periods) => {
+                    for ns in periods {
+                        clock.advance_to(SimTime::from_nanos(clock.now_ns() + ns));
+                        tick(&mut ticks, &mut seen);
+                    }
+                }
                 Op::Stats => {
                     rt.stats();
                 }
                 Op::Register => {
                     if rt.inner.lock().resources.len() < 4 {
                         rt.register_resource("late", ResourceType::Queue);
+                        seen.parked_registers += usize::from(parked_before > 0);
                     }
                 }
-                Op::ForceMode(mode) => rt.set_timestamp_mode(mode),
+                &Op::ForceMode(mode) => rt.set_timestamp_mode(mode),
+            }
+            if !matches!(op, Op::Tick | Op::Quiet(_) | Op::Register) {
+                let (tasks, parked) = census();
+                if tasks < tasks_before {
+                    seen.parked_retires += parked_before - parked;
+                } else {
+                    seen.unparks += parked_before - parked;
+                }
             }
         }
-        Observed {
+        let observed = Observed {
             ticks,
             stats: rt.stats(),
             tasks: format!("{:?}", rt.debug_snapshot().tasks),
-        }
+        };
+        (observed, seen)
     }
 
     fn lemma_config(tiny: bool) -> AtroposConfig {
@@ -1028,42 +1150,60 @@ mod tests {
         /// timestamp modes, `RuntimeStats` and per-task accounting. Only
         /// `mid_window_flushes` may differ, and only under deferred
         /// replay (per-event application never fills a ring).
+        ///
+        /// The visit-set lemma rides on the same sequences: the reference
+        /// is *eager* — every task visited, hence rolled and re-derived,
+        /// at every tick — so the three production runs, which park
+        /// steady tasks, sum parked holds in closed form and catch
+        /// records up on touch, must reproduce its estimates
+        /// (`ResourceSnapshot::hold_ns` included) and its per-task
+        /// `total_hold_ns` across jittered tick periods, park → touch →
+        /// re-park cycles, retirement and registration while parked.
         #[test]
         fn deferred_replay_equals_sequential_application(
             ops in prop::collection::vec(op_strategy(), 0..1500),
             tiny in any::<bool>(),
         ) {
-            let sequential = run_ops(&ops, lemma_config(tiny), Feed::Sequential);
-            prop_assert_eq!(sequential.stats.mid_window_flushes, 0);
-            let every_emit = run_ops(&ops, lemma_config(tiny), Feed::DrainEveryEmit);
-            prop_assert_eq!(&sequential, &every_emit);
-            let mut deferred = run_ops(&ops, lemma_config(tiny), Feed::Deferred);
+            let eager = run_ops(&ops, lemma_config(tiny), Feed::Sequential, true);
+            prop_assert_eq!(eager.stats.mid_window_flushes, 0);
+            let sequential = run_ops(&ops, lemma_config(tiny), Feed::Sequential, false);
+            prop_assert_eq!(&eager, &sequential);
+            let every_emit = run_ops(&ops, lemma_config(tiny), Feed::DrainEveryEmit, false);
+            prop_assert_eq!(&eager, &every_emit);
+            let mut deferred = run_ops(&ops, lemma_config(tiny), Feed::Deferred, false);
             deferred.stats.mid_window_flushes = 0;
-            prop_assert_eq!(&sequential, &deferred);
+            prop_assert_eq!(&eager, &deferred);
         }
     }
 
     /// The lemma is only as strong as the sequences it samples: the same
     /// strategy must reach candidate ticks, cancellations, detector-driven
     /// mode switches, ignored events and (with tiny rings) mid-window
-    /// flushes.
+    /// flushes — and, for the visit set, parked tasks that are touched
+    /// again, retired, or found parked by a registration.
     #[test]
     fn lemma_op_sequences_reach_the_interesting_states() {
         let mut rng = proptest::TestRng::deterministic("lemma_coverage");
         let strategy = prop::collection::vec(op_strategy(), 1000..1500);
         let (mut overloads, mut issued, mut precise, mut ignored, mut flushes) = (0, 0, 0, 0, 0);
+        let mut visits = VisitCoverage::default();
         for case in 0..16 {
             let ops = strategy.sample(&mut rng);
-            let seen = run_ops(&ops, lemma_config(case % 2 == 0), Feed::Deferred);
+            let (seen, visit) =
+                run_ops_covered(&ops, lemma_config(case % 2 == 0), Feed::Deferred, false);
             overloads += seen.stats.resource_overloads;
             issued += seen.stats.cancel.issued;
             precise += seen
                 .ticks
                 .iter()
-                .filter(|(_, mode)| *mode == TimestampMode::Precise)
+                .filter(|(_, mode, _)| *mode == TimestampMode::Precise)
                 .count();
             ignored += seen.stats.ignored_events;
             flushes += seen.stats.mid_window_flushes;
+            visits.parked_task_ticks += visit.parked_task_ticks;
+            visits.unparks += visit.unparks;
+            visits.parked_retires += visit.parked_retires;
+            visits.parked_registers += visit.parked_registers;
         }
         assert!(overloads >= 16, "only {overloads} resource overloads");
         assert!(issued >= 16, "only {issued} cancellations");
@@ -1072,6 +1212,58 @@ mod tests {
             ignored > 0 && flushes > 0,
             "{ignored} ignored, {flushes} flushes"
         );
+        assert!(
+            visits.parked_task_ticks >= 1000
+                && visits.unparks >= 100
+                && visits.parked_retires >= 16
+                && visits.parked_registers >= 4,
+            "{visits:?}"
+        );
+    }
+
+    /// A parked task's hold is charged lazily; introspection is one of the
+    /// catch-up points. 64 residents pin a page and park, ticks of
+    /// different lengths pass (one of zero length), and the snapshot still
+    /// shows every hold running since the acquire.
+    #[test]
+    fn parked_holds_are_caught_up_by_debug_snapshot() {
+        let (clock, rt) = setup(10);
+        let pool = rt.register_resource("pool", ResourceType::Memory);
+        let lock = rt.register_resource("lock", ResourceType::Lock);
+        let residents: Vec<TaskId> = (0..64).map(|k| rt.create_cancel(Some(k))).collect();
+        for &t in &residents {
+            rt.get_resource(t, pool, 1);
+        }
+        let holder = rt.create_cancel(Some(99));
+        rt.get_resource(holder, lock, 1);
+        for at in [100, 200, 250, 250, 410] {
+            clock.advance_to(SimTime::from_millis(at));
+            assert_eq!(rt.tick(), TickOutcome::Idle);
+        }
+        {
+            let inner = rt.inner.lock();
+            // The LOCK holder's gain is hold time: it looks as idle as the
+            // residents but must stay visited.
+            assert_eq!(inner.tasks.visited(), 1);
+            assert_eq!(inner.tasks.len(), 65);
+        }
+        let snap = rt.debug_snapshot();
+        for t in &snap.tasks {
+            let u = &t.usage[if t.key == TaskKey(99) { lock } else { pool }.index()];
+            assert_eq!((u.held, u.total_hold_ns), (1, 410 * MS), "{:?}", t.key);
+        }
+        // Retiring a parked resident and touching another changes nothing
+        // for the rest.
+        rt.free_cancel(residents[0]);
+        rt.report_progress(residents[1], 1, 2);
+        clock.advance_to(SimTime::from_millis(500));
+        rt.tick();
+        let snap = rt.debug_snapshot();
+        assert_eq!(snap.tasks.len(), 64);
+        for t in &snap.tasks {
+            let hold = t.usage.iter().map(|u| u.total_hold_ns).sum::<u64>();
+            assert_eq!(hold, 500 * MS, "{:?}", t.key);
+        }
     }
 
     #[test]
@@ -1101,10 +1293,41 @@ mod tests {
         // Fairness still applies: a key is canceled at most once.
         assert_eq!(rt.cancel_key(TaskKey(7)), CancelDecision::AlreadyCanceled);
         // The task record observed the request.
-        assert_eq!(rt.inner.lock().tasks[&t].state, TaskState::CancelRequested);
+        assert_eq!(
+            rt.inner.lock().tasks.get(t).unwrap().state,
+            TaskState::CancelRequested
+        );
         // An unknown key still flows to the initiator (the task may live
         // on another node or have just finished); fairness records it.
         assert_eq!(rt.cancel_key(TaskKey(8)), CancelDecision::Issued);
+    }
+
+    /// `CancelRequested` means the initiator was invoked. A request the
+    /// cancel manager refuses — here the rate limiter — leaves the task,
+    /// and `TaskDebug::cancel_requested`, untouched.
+    #[test]
+    fn refused_cancel_requests_leave_the_task_running() {
+        let clock = Arc::new(VirtualClock::new());
+        let cfg = AtroposConfig {
+            cancel_min_interval_ns: 50 * MS,
+            ..AtroposConfig::default()
+        };
+        let rt = AtroposRuntime::new(cfg, clock.clone());
+        rt.set_cancel_action(|_| {});
+        let _first = rt.create_cancel(Some(1));
+        let _second = rt.create_cancel(Some(2));
+        assert_eq!(rt.cancel_key(TaskKey(1)), CancelDecision::Issued);
+        clock.advance_to(SimTime::from_millis(1));
+        assert_eq!(rt.cancel_key(TaskKey(2)), CancelDecision::RateLimited);
+        let requested = |key| {
+            let snap = rt.debug_snapshot();
+            snap.task_by_key(TaskKey(key)).unwrap().cancel_requested
+        };
+        assert!(requested(1));
+        assert!(!requested(2), "the initiator was never invoked for key 2");
+        clock.advance_to(SimTime::from_millis(60));
+        assert_eq!(rt.cancel_key(TaskKey(2)), CancelDecision::Issued);
+        assert!(requested(2));
     }
 
     #[test]

@@ -3,12 +3,18 @@
 //! A *cancellable task* is the unit of work Atropos may cancel: a user
 //! connection, a single request, or a background job (purge, vacuum, WAL
 //! writer) — the developer chooses the aggregation when calling
-//! `create_cancel`. The registry attributes resource usage, progress, and
-//! execution activity to each task.
+//! `create_cancel`. The registry ([`TaskTable`]) attributes resource usage,
+//! progress, and execution activity to each task, and keeps the **visit
+//! set**: the tasks a tick has to look at.
+
+use std::collections::HashMap;
 
 use crate::accounting::UsageStats;
-use crate::ids::{TaskId, TaskKey};
+use crate::config::AtroposConfig;
+use crate::ids::{ResourceType, TaskId, TaskKey};
+use crate::policy::PolicyIndex;
 use crate::progress::ProgressTracker;
+use crate::resource::ResourceRegistry;
 
 /// Cross-node provenance of a task (§4 distributed extension): the
 /// end-to-end identity piggybacked over the RPC edge that created it.
@@ -83,12 +89,13 @@ pub struct TaskRecord {
     unit_since: Option<u64>,
     w_active_ns: u64,
     last_window_active_ns: u64,
-    /// True when the last roll published an all-zero window with no open
-    /// unit, no open intervals and nothing held: further rolls are no-ops
-    /// until a new event arrives. Set only by `roll_window`; cleared by
-    /// `on_unit_start`/`on_unit_finish`/[`TaskRecord::note_usage_mutation`].
-    quiescent: bool,
+    /// Position in the owning [`TaskTable`]'s visit set, [`PARKED`] when
+    /// the task is not in it.
+    visit: u32,
 }
+
+/// [`TaskRecord::visit`] of a task outside the visit set.
+const PARKED: u32 = u32::MAX;
 
 impl TaskRecord {
     /// Creates a record with usage slots for `n_resources` resources.
@@ -109,7 +116,7 @@ impl TaskRecord {
             unit_since: None,
             w_active_ns: 0,
             last_window_active_ns: 0,
-            quiescent: false,
+            visit: PARKED,
         }
     }
 
@@ -127,7 +134,6 @@ impl TaskRecord {
     /// previous unit is charged up to `now` and abandoned without counting
     /// as a completion).
     pub fn on_unit_start(&mut self, now: u64) {
-        self.quiescent = false;
         if let Some(since) = self.unit_since {
             let d = now.saturating_sub(since);
             self.total_active_ns += d;
@@ -139,7 +145,6 @@ impl TaskRecord {
     /// Marks the end of the open work unit; returns its latency if a unit
     /// was open.
     pub fn on_unit_finish(&mut self, now: u64) -> Option<u64> {
-        self.quiescent = false;
         let since = self.unit_since.take()?;
         let d = now.saturating_sub(since);
         self.total_active_ns += d;
@@ -155,21 +160,7 @@ impl TaskRecord {
 
     /// Closes the window at `now`: charges and renews the open unit,
     /// publishes window-local active time, and rolls every usage stat.
-    ///
-    /// A quiescent task (nothing open, nothing accumulated, all-zero
-    /// published windows) is skipped outright, so per-tick roll cost
-    /// scales with *busy* tasks rather than the registered population.
     pub fn roll_window(&mut self, now: u64) {
-        if self.quiescent {
-            debug_assert!(
-                self.unit_since.is_none()
-                    && self.w_active_ns == 0
-                    && self.last_window_active_ns == 0
-                    && self.usage.iter().all(|u| u.is_quiescent()),
-                "usage mutated without note_usage_mutation"
-            );
-            return;
-        }
         if let Some(since) = self.unit_since {
             let d = now.saturating_sub(since);
             self.total_active_ns += d;
@@ -181,9 +172,6 @@ impl TaskRecord {
         for u in &mut self.usage {
             u.roll_window(now);
         }
-        self.quiescent = self.unit_since.is_none()
-            && self.last_window_active_ns == 0
-            && self.usage.iter().all(|u| u.is_quiescent());
     }
 
     /// Active execution time in the most recently closed window.
@@ -191,17 +179,229 @@ impl TaskRecord {
         self.last_window_active_ns
     }
 
-    /// Tells the record its `usage` vector was mutated directly (the
-    /// ingest path does this for every traced event), re-arming
-    /// [`TaskRecord::roll_window`] after a quiescent stretch.
-    pub fn note_usage_mutation(&mut self) {
-        self.quiescent = false;
+    /// True if, left alone, every later roll publishes the window the last
+    /// one did, but for the hold time on pinned MEMORY units: no open
+    /// unit, no active time, and every usage
+    /// [steady](UsageStats::window_steady). Such a task's policy terms are
+    /// constant, so it can leave the visit set.
+    fn steady(&self, resources: &ResourceRegistry) -> bool {
+        self.unit_since.is_none()
+            && self.last_window_active_ns == 0
+            && self
+                .usage
+                .iter()
+                .zip(resources.iter())
+                .all(|(u, r)| u.window_steady(r.rtype == ResourceType::Memory))
     }
 
-    /// True if the last roll left this task with nothing to publish: its
-    /// cached terms in the policy index cannot have changed since.
-    pub(crate) fn window_quiescent(&self) -> bool {
-        self.quiescent
+    /// Charges the rolls this task sat out while parked; see
+    /// [`UsageStats::catch_up_hold`].
+    fn catch_up(&mut self, last_roll: u64, last_delta: u64) {
+        for u in &mut self.usage {
+            u.catch_up_hold(last_roll, last_delta);
+        }
+    }
+
+    /// Puts this parked task back at the end of `visit`, caught up.
+    fn rejoin(&mut self, visit: &mut Vec<TaskId>, last_roll: u64, last_delta: u64) {
+        self.catch_up(last_roll, last_delta);
+        self.visit = visit.len() as u32;
+        visit.push(self.id);
+    }
+}
+
+/// The task registry and its **visit set**.
+///
+/// A task is in the visit set iff something touched it since the last
+/// roll — a trace event, a unit start/finish, a progress report, a
+/// cancellability flip, its creation — or it carries something whose
+/// per-window contribution is not constant: an open unit, an open wait,
+/// a held LOCK/QUEUE/SYSTEM unit (their gain is hold *time*), or a last
+/// window that still shows activity. Every other task is *parked*: a tick
+/// neither rolls nor re-derives it. Its terms in the [`PolicyIndex`] are
+/// constant; the one figure that still moves, `hold_ns` on the MEMORY
+/// units it pins, grows by the same `Δ = now − last roll` for every
+/// parked holder, so the index adds `Δ × holders` in closed form and the
+/// record's own `total_hold_ns` is caught up when the task is next
+/// touched or introspected.
+///
+/// Membership is intrusive (the record knows its position), so joining is
+/// a flag test plus a push, and parking or retiring a swap-remove: a
+/// task created and retired between two ticks costs neither anything.
+#[derive(Debug)]
+pub struct TaskTable {
+    map: HashMap<TaskId, TaskRecord>,
+    visit: Vec<TaskId>,
+    /// When the last [`TaskTable::roll`] closed its window, and how long
+    /// after the roll before: what a parked holder is caught up with.
+    last_roll_ns: u64,
+    last_delta_ns: u64,
+}
+
+impl TaskTable {
+    /// An empty table whose first window opens at `origin_ns`.
+    pub fn new(origin_ns: u64) -> Self {
+        TaskTable {
+            map: HashMap::new(),
+            visit: Vec::new(),
+            last_roll_ns: origin_ns,
+            last_delta_ns: 0,
+        }
+    }
+
+    /// Registered tasks, visited and parked.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// True if no task is registered.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// Tasks the next tick will look at.
+    pub fn visited(&self) -> usize {
+        self.visit.len()
+    }
+
+    /// When the last roll closed its window (ns).
+    pub fn last_roll_ns(&self) -> u64 {
+        self.last_roll_ns
+    }
+
+    /// Read access to one record. A parked task's open holds read as of
+    /// the roll that parked it until [`TaskTable::catch_up_parked`].
+    pub fn get(&self, id: TaskId) -> Option<&TaskRecord> {
+        self.map.get(&id)
+    }
+
+    /// Every record, in no particular order: O(registered), for
+    /// introspection and the reference estimator only.
+    pub fn iter(&self) -> impl Iterator<Item = &TaskRecord> {
+        self.map.values()
+    }
+
+    /// Registers a task; it starts in the visit set.
+    #[inline]
+    pub fn insert(&mut self, rec: TaskRecord) {
+        let visit = self.visit.len() as u32;
+        self.visit.push(rec.id);
+        self.map.insert(rec.id, TaskRecord { visit, ..rec });
+    }
+
+    /// Mutable access to a record about to change, putting it (back) in
+    /// the visit set: a parked task is first caught up with the rolls it
+    /// sat out, and `index` stops counting it as a parked holder.
+    #[inline]
+    pub fn touch(&mut self, id: TaskId, index: &mut PolicyIndex) -> Option<&mut TaskRecord> {
+        let t = self.map.get_mut(&id)?;
+        if t.visit == PARKED {
+            t.rejoin(&mut self.visit, self.last_roll_ns, self.last_delta_ns);
+            index.unpark(id);
+        }
+        Some(t)
+    }
+
+    /// Retires a task, unwinding whatever `index` cached for it, and
+    /// returns its key.
+    #[inline]
+    pub fn remove(&mut self, id: TaskId, index: &mut PolicyIndex) -> Option<TaskKey> {
+        let rec = self.map.remove(&id)?;
+        if rec.visit == PARKED {
+            index.unpark(id);
+        } else {
+            self.leave(rec.visit as usize);
+        }
+        index.remove_task(id);
+        Some(rec.key)
+    }
+
+    /// Swap-removes position `pos` of the visit set.
+    fn leave(&mut self, pos: usize) {
+        self.visit.swap_remove(pos);
+        if let Some(moved) = self.visit.get(pos) {
+            self.map
+                .get_mut(moved)
+                .expect("visit set names a live task")
+                .visit = pos as u32;
+        }
+    }
+
+    /// A resource was registered: every usage vector grows to `n` slots
+    /// and every cached term vector changes length, so `index` starts
+    /// over and every task is visited by the next tick. O(registered).
+    pub fn grow_resources(&mut self, n: usize, index: &mut PolicyIndex) {
+        for t in self.map.values_mut() {
+            t.ensure_resources(n);
+            if t.visit == PARKED {
+                t.rejoin(&mut self.visit, self.last_roll_ns, self.last_delta_ns);
+            }
+        }
+        index.reset(n);
+    }
+
+    /// Catches every parked task up with the rolls it sat out, so the
+    /// records read exactly as if every tick had rolled them all.
+    /// O(registered): for `debug_snapshot` and the reference estimator.
+    pub fn catch_up_parked(&mut self) {
+        for t in self.map.values_mut().filter(|t| t.visit == PARKED) {
+            t.catch_up(self.last_roll_ns, self.last_delta_ns);
+        }
+    }
+
+    /// Closes the window at `now` on the visit set and returns how many
+    /// tasks have a unit in flight (an open unit keeps a task visited, so
+    /// the count is exact). `now` must not precede the last roll.
+    pub fn roll(&mut self, now: u64) -> u64 {
+        let mut in_flight = 0;
+        for id in &self.visit {
+            let t = self.map.get_mut(id).expect("visit set names a live task");
+            t.roll_window(now);
+            in_flight += u64::from(t.is_active());
+        }
+        self.last_delta_ns = now.saturating_sub(self.last_roll_ns);
+        self.last_roll_ns = now;
+        in_flight
+    }
+
+    /// After a roll: parks every visited task that has become
+    /// [steady](TaskRecord::steady), bringing its terms in `index` up to
+    /// date first; with `decide` (a candidate tick is about to read the
+    /// index) brings every visited task's terms up to date and
+    /// [settles](PolicyIndex::settle) the index. Tasks that stay visited
+    /// on an idle tick are left stale: nothing reads them before the next
+    /// candidate tick re-derives them.
+    pub fn refresh(
+        &mut self,
+        index: &mut PolicyIndex,
+        resources: &ResourceRegistry,
+        cfg: &AtroposConfig,
+        decide: bool,
+    ) {
+        let mut pos = 0;
+        while let Some(&id) = self.visit.get(pos) {
+            let t = self.map.get_mut(&id).expect("visit set names a live task");
+            let park = t.steady(resources);
+            if decide || park {
+                index.update_task(t, resources, cfg);
+            }
+            if park {
+                // The closed form charges every parked holder Δ from this
+                // very window on, so what it published must already be Δ.
+                debug_assert!(t
+                    .usage
+                    .iter()
+                    .all(|u| { u.held == 0 || u.window().hold_ns == self.last_delta_ns }));
+                t.visit = PARKED;
+                index.park(id);
+                self.leave(pos);
+            } else {
+                pos += 1;
+            }
+        }
+        if decide {
+            index.settle(resources, self.last_delta_ns);
+        }
     }
 }
 
@@ -281,37 +481,83 @@ mod tests {
         assert_eq!(t.usage[0].window().acquired, 3);
     }
 
-    #[test]
-    fn quiescent_task_skips_rolls_until_rearmed() {
-        let mut t = rec();
-        t.usage[0].on_get(10, 3);
-        t.usage[0].on_free(20, 3);
-        t.roll_window(50); // publishes the get/free window
-        assert!(!t.window_quiescent());
-        t.roll_window(100); // publishes all-zero → quiescent
-        assert!(t.window_quiescent());
-        t.roll_window(150); // no-op
-        assert!(t.window_quiescent());
-        // A new event must re-arm the roll.
-        t.usage[0].on_get(160, 1);
-        t.note_usage_mutation();
-        assert!(!t.window_quiescent());
-        t.roll_window(200);
-        assert_eq!(t.usage[0].window().acquired, 1);
-        assert!(!t.window_quiescent()); // still holding
+    fn table() -> (TaskTable, PolicyIndex, ResourceRegistry, AtroposConfig) {
+        let mut reg = ResourceRegistry::new();
+        reg.register("pool", ResourceType::Memory); // id 0
+        reg.register("lock", ResourceType::Lock); // id 1
+        let mut index = PolicyIndex::new();
+        index.reset(reg.len());
+        (TaskTable::new(0), index, reg, AtroposConfig::default())
     }
 
     #[test]
-    fn open_unit_prevents_quiescence() {
-        let mut t = rec();
-        t.on_unit_start(0);
-        t.roll_window(100);
-        t.roll_window(200);
-        assert!(!t.window_quiescent());
-        assert_eq!(t.window_active_ns(), 100);
-        t.on_unit_finish(250);
-        t.roll_window(300);
-        t.roll_window(400);
-        assert!(t.window_quiescent());
+    fn memory_holder_parks_after_two_rolls_and_is_caught_up_when_touched() {
+        let (mut tasks, mut index, reg, cfg) = table();
+        tasks.insert(rec());
+        tasks.touch(TaskId(1), &mut index).unwrap().usage[0].on_get(10, 3);
+        tasks.roll(100);
+        tasks.refresh(&mut index, &reg, &cfg, false);
+        assert_eq!(tasks.visited(), 1, "the acquire is still in the window");
+        tasks.roll(200);
+        tasks.refresh(&mut index, &reg, &cfg, false);
+        assert_eq!(tasks.visited(), 0, "only the pinned pages are left");
+        // Parked through three rolls of different lengths.
+        for now in [350, 350, 420] {
+            assert_eq!(tasks.roll(now), 0);
+            tasks.refresh(&mut index, &reg, &cfg, false);
+        }
+        assert_eq!(tasks.get(TaskId(1)).unwrap().usage[0].total_hold_ns, 190);
+        let t = tasks.touch(TaskId(1), &mut index).unwrap();
+        assert_eq!(t.usage[0].total_hold_ns, 410);
+        assert_eq!(t.usage[0].window().hold_ns, 70);
+        assert_eq!(tasks.visited(), 1);
+    }
+
+    #[test]
+    fn lock_holders_open_waits_and_open_units_stay_visited() {
+        let (mut tasks, mut index, reg, cfg) = table();
+        for id in 1..=3 {
+            tasks.insert(TaskRecord::new(TaskId(id), TaskKey(id), 0, 2));
+        }
+        tasks.touch(TaskId(1), &mut index).unwrap().usage[1].on_get(10, 1);
+        tasks.touch(TaskId(2), &mut index).unwrap().usage[1].on_slow(10, 1);
+        tasks
+            .touch(TaskId(3), &mut index)
+            .unwrap()
+            .on_unit_start(10);
+        for now in [100, 200, 300] {
+            assert_eq!(tasks.roll(now), 1);
+            tasks.refresh(&mut index, &reg, &cfg, false);
+            assert_eq!(tasks.visited(), 3);
+        }
+    }
+
+    #[test]
+    fn retiring_keeps_positions_consistent_visited_or_parked() {
+        let (mut tasks, mut index, reg, cfg) = table();
+        for id in 1..=4 {
+            tasks.insert(TaskRecord::new(TaskId(id), TaskKey(id), 0, 2));
+            tasks
+                .touch(TaskId(id), &mut index)
+                .unwrap()
+                .on_unit_start(0);
+        }
+        // Retire from the middle: the last task takes the hole.
+        assert!(tasks.remove(TaskId(2), &mut index).is_some());
+        assert_eq!(tasks.roll(100), 3);
+        tasks
+            .touch(TaskId(4), &mut index)
+            .unwrap()
+            .on_unit_finish(150);
+        tasks.roll(200);
+        tasks.refresh(&mut index, &reg, &cfg, false);
+        tasks.roll(300);
+        tasks.refresh(&mut index, &reg, &cfg, false);
+        assert_eq!(tasks.visited(), 2, "task 4 parked");
+        assert!(tasks.remove(TaskId(4), &mut index).is_some()); // parked
+        assert!(tasks.remove(TaskId(1), &mut index).is_some()); // visited
+        assert_eq!((tasks.len(), tasks.visited()), (1, 1));
+        assert_eq!(tasks.roll(400), 1);
+        assert!(tasks.remove(TaskId(9), &mut index).is_none());
     }
 }

@@ -321,7 +321,7 @@ pub fn run_on<S: Serving>(
         ticks,
         runtime: rt.stats(),
         episodes: obs.drain_episodes(&names),
-        metrics: obs.metrics(),
+        metrics: obs.metrics().with_tick_phases(&rt.tick_phases()),
     };
     (report, rt)
 }

@@ -44,6 +44,6 @@ pub use explain::{
 };
 pub use observer::Observer;
 pub use registry::{
-    MetricsRegistry, MetricsSnapshot, ResourceOccupancy, MAX_RESOURCES, TTC_BUCKETS,
+    MetricsRegistry, MetricsSnapshot, ResourceOccupancy, TickPhaseNs, MAX_RESOURCES, TTC_BUCKETS,
 };
 pub use ring::{FlightRecorder, DEFAULT_RING_CAPACITY};

@@ -9,6 +9,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use atropos::phase::{TickPhase, TickPhases};
 use atropos::{BackoffReason, CancelOrigin, DecisionEvent};
 use serde::{Deserialize, Serialize};
 
@@ -193,8 +194,24 @@ impl MetricsRegistry {
                     weight: f64::from_bits(self.res_weight_bits[i].load(REL)),
                 })
                 .collect(),
+            tick_phases: Vec::new(),
         }
     }
+}
+
+/// Wall-clock cost of one `tick()` phase, from the runtime's in-tree
+/// phase timer ([`atropos::AtroposRuntime::tick_phases`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TickPhaseNs {
+    /// Phase label: drain, roll, detect, refresh, select, actuate.
+    pub phase: String,
+    /// Spans recorded (select and actuate run on candidate ticks only).
+    pub count: u64,
+    /// Total wall time in the phase (ns).
+    pub sum_ns: u64,
+    /// Log2 histogram: bucket `i` counts spans in `[2^i, 2^(i+1))` ns
+    /// (bucket 0 includes zero).
+    pub buckets: Vec<u64>,
 }
 
 /// One resource's occupancy gauges from its latest `ResourceScored` event.
@@ -251,9 +268,29 @@ pub struct MetricsSnapshot {
     pub time_to_cancel_buckets: Vec<u64>,
     /// Per-resource occupancy gauges.
     pub resources: Vec<ResourceOccupancy>,
+    /// Per-phase tick cost. Empty unless attached with
+    /// [`MetricsSnapshot::with_tick_phases`]: the registry is fed by
+    /// decision events, which are deterministic, and these are wall-clock
+    /// readings — a snapshot that is compared across runs leaves them out.
+    pub tick_phases: Vec<TickPhaseNs>,
 }
 
 impl MetricsSnapshot {
+    /// Attaches the runtime's phase-timer reading, exported as
+    /// `atropos_tick_phase_ns{phase=…}`.
+    pub fn with_tick_phases(mut self, phases: &TickPhases) -> Self {
+        self.tick_phases = TickPhase::ALL
+            .iter()
+            .map(|&p| TickPhaseNs {
+                phase: p.name().to_string(),
+                count: phases.count(p),
+                sum_ns: phases.sum_ns(p),
+                buckets: phases.buckets(p).to_vec(),
+            })
+            .collect();
+        self
+    }
+
     /// Internal-consistency audit. Returns one message per violated
     /// relation; an empty vector means the snapshot is coherent:
     ///
@@ -385,21 +422,35 @@ impl MetricsSnapshot {
             "# HELP atropos_time_to_cancel_ns Issue-to-completion latency of cancellations\n\
              # TYPE atropos_time_to_cancel_ns histogram\n",
         );
-        let mut cumulative = 0u64;
-        for (i, count) in self.time_to_cancel_buckets.iter().enumerate() {
-            cumulative += count;
-            if *count > 0 {
-                out.push_str(&format!(
-                    "atropos_time_to_cancel_ns_bucket{{le=\"{}\"}} {cumulative}\n",
-                    (1u128 << (i + 1)) - 1
-                ));
-            }
-        }
+        push_buckets(
+            &mut out,
+            "atropos_time_to_cancel_ns",
+            "",
+            &self.time_to_cancel_buckets,
+        );
         out.push_str(&format!(
             "atropos_time_to_cancel_ns_bucket{{le=\"+Inf\"}} {}\n\
              atropos_time_to_cancel_ns_sum {}\natropos_time_to_cancel_ns_count {}\n",
             self.cancels_completed, self.time_to_cancel_sum_ns, self.cancels_completed
         ));
+        if !self.tick_phases.is_empty() {
+            out.push_str(
+                "# HELP atropos_tick_phase_ns Wall time of each tick() phase\n\
+                 # TYPE atropos_tick_phase_ns histogram\n",
+            );
+        }
+        for p in &self.tick_phases {
+            let label = format!("phase=\"{}\",", p.phase);
+            push_buckets(&mut out, "atropos_tick_phase_ns", &label, &p.buckets);
+            out.push_str(&format!(
+                "atropos_tick_phase_ns_bucket{{phase=\"{ph}\",le=\"+Inf\"}} {n}\n\
+                 atropos_tick_phase_ns_sum{{phase=\"{ph}\"}} {sum}\n\
+                 atropos_tick_phase_ns_count{{phase=\"{ph}\"}} {n}\n",
+                ph = p.phase,
+                n = p.count,
+                sum = p.sum_ns
+            ));
+        }
         for r in &self.resources {
             out.push_str(&format!(
                 "atropos_resource_hold_ns{{resource=\"{id}\"}} {hold}\n\
@@ -417,6 +468,21 @@ impl MetricsSnapshot {
     /// The snapshot as a JSON string.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("MetricsSnapshot serializes")
+    }
+}
+
+/// Appends the non-empty cumulative `le` lines of a log2 histogram
+/// (`labels` is empty or ends in a comma).
+fn push_buckets(out: &mut String, name: &str, labels: &str, buckets: &[u64]) {
+    let mut cumulative = 0u64;
+    for (i, count) in buckets.iter().enumerate() {
+        cumulative += count;
+        if *count > 0 {
+            out.push_str(&format!(
+                "{name}_bucket{{{labels}le=\"{}\"}} {cumulative}\n",
+                (1u128 << (i + 1)) - 1
+            ));
+        }
     }
 }
 
@@ -527,6 +593,35 @@ mod tests {
         assert!(text.contains("atropos_cancels_issued_policy_total 1"));
         assert!(text.contains("atropos_time_to_cancel_ns_count 1"));
         assert!(text.contains("atropos_resource_hold_ns{resource=\"0\"} 90000000"));
+    }
+
+    #[test]
+    fn tick_phases_export_as_a_labelled_histogram_and_roundtrip() {
+        use atropos::{AtroposConfig, AtroposRuntime};
+        let rt = AtroposRuntime::new(
+            AtroposConfig::default(),
+            std::sync::Arc::new(atropos_sim::VirtualClock::new()),
+        );
+        rt.tick();
+        rt.tick();
+        let reg = MetricsRegistry::new();
+        assert!(reg.snapshot().tick_phases.is_empty());
+        assert!(!reg.snapshot().prometheus_text().contains("tick_phase"));
+        let snap = reg.snapshot().with_tick_phases(&rt.tick_phases());
+        let text = snap.prometheus_text();
+        for phase in ["drain", "roll", "detect", "refresh"] {
+            assert!(
+                text.contains(&format!(
+                    "atropos_tick_phase_ns_count{{phase=\"{phase}\"}} 2"
+                )),
+                "{phase} missing:\n{text}"
+            );
+        }
+        // Idle ticks never select or actuate.
+        assert!(text.contains("atropos_tick_phase_ns_count{phase=\"select\"} 0"));
+        let back: MetricsSnapshot = serde_json::from_str(&snap.to_json()).unwrap();
+        assert_eq!(back, snap);
+        assert!(snap.consistency_errors().is_empty());
     }
 
     #[test]

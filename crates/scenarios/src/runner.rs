@@ -356,9 +356,9 @@ pub fn run_atropos_observed(case: &CaseDef, rc: &RunConfig, baseline: &Baseline)
             summary,
             normalized,
         },
-        runtime: rt,
         episodes,
-        metrics: obs.metrics(),
+        metrics: obs.metrics().with_tick_phases(&rt.tick_phases()),
+        runtime: rt,
         cancel_log,
     }
 }

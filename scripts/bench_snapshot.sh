@@ -121,7 +121,7 @@ if cores is None or cores < 2:
     )
 
 snapshot = {
-    "schema": "bench_trace/v3",
+    "schema": "bench_trace/v4",
     "hardware": {"cores": cores},
     "contended_ingest_events_per_sec": contended,
     # Degenerate when cores < 2: a single core cannot create contention,
@@ -143,10 +143,31 @@ snapshot = {
     "policy_index_ns": {
         k.split("/", 1)[1]: ns(k) for k in rows if k.startswith("policy_index/")
     },
+    # Where a tick's time goes, from the runtime's in-tree phase timer:
+    # mean ns per tick and phase with 1k/4k/16k parked MEMORY holders
+    # around 256 touched tasks (atropos_bench::tickload). The section
+    # carries its own core count: it may be re-recorded apart from the
+    # rest of this file.
+    "tick_phases": {
+        "hardware": {"cores": cores},
+        "touched_tasks": 256,
+        **{
+            kind: {
+                str(n): {
+                    part: ns(f"tick_phases/{kind}/{n}/{part}")
+                    for part in (
+                        "tick", "drain", "roll", "detect", "refresh", "select", "actuate"
+                    )
+                }
+                for n in (1024, 4096, 16384)
+            }
+            for kind in ("idle", "overloaded")
+        },
+    },
     # Scaling record for the policy index: the skyline keeps Algorithm 1
     # within a constant factor of the single-resource greedy scan (the
     # policy_scaling guard test enforces <= 10x at 1024), and the delta
-    # refresh shows steady-state tick cost tracking the churn rate, not
+    # refresh shows steady-state tick cost tracking the visit set, not
     # the population.
     "policy_scaling": {
         "multi_objective_vs_heuristic_1024": ratio(

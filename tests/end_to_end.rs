@@ -184,6 +184,7 @@ fn metrics_snapshot_is_internally_consistent_across_cases() {
             "atropos_ticks",
             "atropos_detections",
             "atropos_cancels_issued",
+            "atropos_tick_phase_ns_count{phase=\"roll\"}",
         ] {
             assert!(text.contains(metric), "{id}: {metric} missing:\n{text}");
         }
