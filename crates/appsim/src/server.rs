@@ -243,7 +243,8 @@ impl SimServer {
                 canceled: 0,
                 retried: 0,
                 latency: LatencyHistogram::new(),
-                series: WindowedSeries::new(0, window_ns),
+                // Sized to the run by `run`.
+                series: WindowedSeries::new(0, window_ns, 1),
                 trace_events: 0,
                 live_at_end: 0,
                 cancel_log: Vec::new(),
@@ -286,6 +287,9 @@ impl SimServer {
     pub fn run(mut self, duration: SimTime, warmup: SimTime) -> ServerMetrics {
         self.warmup = warmup;
         self.end = duration;
+        // Every window up to the one containing `duration`, plus one spare.
+        let windows = (duration.as_nanos() / self.cfg.window_ns) as usize + 2;
+        self.metrics.series = WindowedSeries::new(0, self.cfg.window_ns, windows);
         if let Some(gap) = self.workload.mean_gap() {
             let first = SimTime::from_nanos(self.rng.exp(gap.as_nanos() as f64) as u64);
             self.queue.schedule(first, Event::Arrival);
@@ -979,11 +983,14 @@ impl SimServer {
             });
         }
         requests.sort_by_key(|r| r.id);
+        // A silent window must read as an empty one, not as the last
+        // window that saw traffic.
+        self.metrics.series.touch(now.as_nanos());
         let recent = self
             .metrics
             .series
             .recent_closed(now.as_nanos(), 1)
-            .last()
+            .next()
             .map(|w| RecentPerf {
                 throughput_qps: w.throughput_qps(self.cfg.window_ns),
                 p50_ns: w.latency.p50(),
@@ -1599,6 +1606,45 @@ mod tests {
         });
         let m = server.run(sec(1), SimTime::ZERO);
         assert!(m.completed > 0);
+    }
+
+    #[test]
+    fn silent_windows_read_as_empty_in_the_view() {
+        // Completions in window 0 only; a view at 2.5 windows must report
+        // window 1, which saw nothing, not window 0.
+        struct RecentAt {
+            at: SimTime,
+            seen: std::rc::Rc<std::cell::Cell<Option<RecentPerf>>>,
+        }
+        impl Controller for RecentAt {
+            fn name(&self) -> &'static str {
+                "recent-probe"
+            }
+            fn on_tick(&mut self, now: SimTime, view: &ServerView) -> Vec<Action> {
+                if now == self.at {
+                    self.seen.set(Some(view.recent));
+                }
+                Vec::new()
+            }
+        }
+        let cfg = ServerConfig::default();
+        let at = SimTime::from_nanos(cfg.window_ns * 5 / 2);
+        let wl = WorkloadSpec::new(
+            vec![ClassSpec::new("op", 1.0, |_| Plan::new().compute(100_000))],
+            0.0,
+        )
+        .inject(SimTime::from_millis(1), ClassId(0))
+        .inject(SimTime::from_millis(2), ClassId(0));
+        let seen = std::rc::Rc::new(std::cell::Cell::new(None));
+        let probe = RecentAt {
+            at,
+            seen: seen.clone(),
+        };
+        let m = SimServer::new(cfg, wl, Box::new(probe)).run(sec(1), SimTime::ZERO);
+        assert_eq!(m.completed, 2);
+        let recent = seen.get().expect("a control tick at 2.5 windows");
+        assert_eq!(recent.completed, 0);
+        assert_eq!(recent.throughput_qps, 0.0);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Criterion bench: the detector and window-accounting hot path.
 //!
-//! The runtime ticks at the detector window period (10 ms default), and
-//! every tick rolls the accounting window of every live task. These
-//! benches bound the control loop's cost per tick as live-task counts
-//! grow — the quantity that determines how fine the detection granularity
-//! can be.
+//! The runtime ticks at the detector window period (10 ms default). Each
+//! tick evaluates the detector over its window ring and rolls the
+//! accounting window of the tasks in the visit set, the ones something
+//! touched since the last tick. These benches time those two pieces:
+//! `evaluate` over populated windows, one completion record, and
+//! `roll_window` over 64 and 1 024 usage slots.
 
 use atropos::accounting::UsageStats;
 use atropos::config::DetectorConfig;

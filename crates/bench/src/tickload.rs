@@ -126,6 +126,11 @@ impl TickLoad {
         ns
     }
 
+    /// The runtime under load.
+    pub fn runtime(&self) -> &AtroposRuntime {
+        &self.rt
+    }
+
     /// Mean tick wall time over `windows` windows (ns).
     pub fn mean_tick_ns(&mut self, windows: u32) -> f64 {
         let total: u64 = (0..windows).map(|_| self.window()).sum();

@@ -17,7 +17,6 @@
 use crate::cancel::CancelStats;
 use crate::ids::{ResourceId, ResourceType, TaskId, TaskKey};
 use crate::runtime::RuntimeStats;
-use crate::task::{RemoteBlame, RemoteOrigin};
 
 /// A consistent copy of the runtime's internals at one instant.
 #[derive(Debug, Clone)]
@@ -70,8 +69,6 @@ pub struct TaskDebug {
     pub background: bool,
     /// Reported GetNext progress fraction, if any.
     pub progress: Option<f64>,
-    /// Cross-node provenance, if this task proxies a remote root (§4).
-    pub origin: Option<RemoteOrigin>,
     /// Cumulative per-resource usage, indexed by [`ResourceId::index`].
     pub usage: Vec<UsageDebug>,
 }
@@ -115,9 +112,6 @@ pub struct CancelDebug {
     pub pending_reexec: usize,
     /// The serialized re-execution currently in flight, if any.
     pub outstanding_reexec: Option<TaskKey>,
-    /// Cross-node blame attributions (§4): cancels issued here against
-    /// tasks proxying a remote root, in issue order.
-    pub remote_blame: Vec<RemoteBlame>,
     /// Cancellation counters.
     pub stats: CancelStats,
 }

@@ -53,11 +53,15 @@ pub struct Detector {
 
 impl Detector {
     /// Creates a detector with windows starting at `origin`.
+    ///
+    /// It keeps `history + 2` windows: the `history` closed ones it reads,
+    /// the one being filled, and one more because a producer can record a
+    /// completion in the next window after the ticker read its `now`.
     pub fn new(cfg: DetectorConfig, origin: u64) -> Self {
-        let window_ns = cfg.window_ns;
+        let series = WindowedSeries::new(origin, cfg.window_ns, cfg.history + 2);
         Self {
             cfg,
-            series: WindowedSeries::new(origin, window_ns),
+            series,
             evaluations: 0,
             candidates: 0,
         }
@@ -83,11 +87,10 @@ impl Detector {
         // Materialize empty windows: during a stall nothing is recorded,
         // and the silent period must read as empty windows, not stale ones.
         self.series.touch(now);
-        let recent = self.series.recent_closed(now, 2);
-        if recent.len() < 2 {
+        let mut recent = self.series.recent_closed(now, 2);
+        let (Some(last), Some(prev)) = (recent.next_back(), recent.next_back()) else {
             return OverloadSignal::Ok;
-        }
-        let (prev, last) = (&recent[recent.len() - 2], &recent[recent.len() - 1]);
+        };
         if last.completed == 0 {
             if in_flight > 0 {
                 self.candidates += 1;
@@ -106,10 +109,11 @@ impl Detector {
         // convoy blocks its victims, and their inflated latencies only
         // surface *after* the culprit releases — too late to act on.
         let hist = self.series.recent_closed(now, self.cfg.history);
-        let hist_mean = if hist.is_empty() {
+        let hist_len = hist.len();
+        let hist_mean = if hist_len == 0 {
             0.0
         } else {
-            hist.iter().map(|w| w.completed).sum::<u64>() as f64 / hist.len() as f64
+            hist.map(|w| w.completed).sum::<u64>() as f64 / hist_len as f64
         };
         let collapsed = in_flight > 0
             && hist_mean > 0.0
@@ -160,11 +164,6 @@ impl Detector {
             });
         }
         signal
-    }
-
-    /// Completion/drop series for end-of-run reporting.
-    pub fn series(&self) -> &WindowedSeries {
-        &self.series
     }
 
     /// `(evaluations, candidate overloads)` counters.
@@ -323,6 +322,38 @@ mod tests {
         }
         fill_window(&mut d, 4, 10, 2 * MS);
         assert_eq!(d.evaluate(5 * WIN + 1, 0), OverloadSignal::Ok);
+    }
+
+    #[test]
+    fn collapse_test_sees_full_history_past_a_record_one_window_ahead() {
+        // A producer's completion lands in window 10 after the ticker read
+        // `now` in window 9: the ring must still hold windows 1..=8, the
+        // `history` closed windows the collapse test averages. Window 1's
+        // burst is what makes window 8's dip a collapse; a ring one window
+        // shorter loses it and reads the dip as healthy.
+        let mut d = Detector::new(cfg(10), 0);
+        fill_window(&mut d, 0, 100, 2 * MS);
+        fill_window(&mut d, 1, 1_000, 2 * MS);
+        for w in 2..8 {
+            fill_window(&mut d, w, 100, 2 * MS);
+        }
+        fill_window(&mut d, 8, 80, 2 * MS);
+        d.record_completion(10 * WIN + 1, 2 * MS);
+        assert!(matches!(
+            d.evaluate(9 * WIN + 1, 50),
+            OverloadSignal::Candidate { .. }
+        ));
+    }
+
+    #[test]
+    fn ring_holds_history_plus_two_windows() {
+        let mut d = Detector::new(cfg(10), 0);
+        for w in 0..100 {
+            fill_window(&mut d, w, 3, 2 * MS);
+            d.evaluate(w * WIN + 1, 1);
+            assert!(d.series.windows().len() <= d.cfg.history + 2);
+        }
+        assert_eq!(d.series.windows().len(), d.cfg.history + 2);
     }
 
     #[test]

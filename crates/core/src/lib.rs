@@ -92,6 +92,5 @@ pub use record::{
     BackoffReason, CancelOrigin, DecisionEvent, GainTerm, Recorder, RecorderHandle, MAX_GAIN_TERMS,
 };
 pub use runtime::{AtroposRuntime, RuntimeStats, TickOutcome};
-pub use task::{RemoteBlame, RemoteOrigin};
 pub use ticker::Ticker;
 pub use trace::TimestampMode;

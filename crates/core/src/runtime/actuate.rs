@@ -159,8 +159,8 @@ impl AtroposRuntime {
             .tasks
             .iter()
             .find(|t| t.key == key)
-            .map(|t| (t.id, t.background, t.origin));
-        let (background, origin) = task.map_or((false, None), |(_, b, o)| (b, o));
+            .map(|t| (t.id, t.background));
+        let background = task.is_some_and(|(_, b)| b);
         let sink = inner.recorder.clone();
         let handle = RecorderHandle::new(sink.as_deref(), inner.stats.ticks);
         let d = inner.cancel.request_cancel_recorded(
@@ -173,30 +173,10 @@ impl AtroposRuntime {
         if d == CancelDecision::Issued {
             // Only now was the initiator invoked: a rate-limited or
             // already-canceled request leaves the task `Running`.
-            if let Some(t) = task.and_then(|(id, ..)| inner.touch(id)) {
+            if let Some(t) = task.and_then(|(id, _)| inner.touch(id)) {
                 t.state = TaskState::CancelRequested;
-            }
-            // Cross-node blame (§4): operator kills of proxy tasks are
-            // attributed to the remote root just like policy cancels.
-            if let Some(origin) = origin {
-                inner.remote_blame.push(crate::task::RemoteBlame {
-                    local_key: key,
-                    origin,
-                    at_ns: now,
-                });
             }
         }
         d
-    }
-
-    /// Records the cross-node provenance of `task` (§4): the root
-    /// identity piggybacked over the RPC edge that created it. Installed
-    /// by the federation edge when a proxy task is opened; cancels of the
-    /// task are then attributed to the remote root in
-    /// [`DebugSnapshot`](crate::DebugSnapshot) blame records.
-    pub fn set_task_origin(&self, task: TaskId, origin: crate::task::RemoteOrigin) {
-        if let Some(t) = self.inner.lock().touch(task) {
-            t.origin = Some(origin);
-        }
     }
 }

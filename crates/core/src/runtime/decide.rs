@@ -167,11 +167,7 @@ impl Inner {
         timer.lap(&mut self.phases, TickPhase::Select);
         let (canceled, decision) = match selection {
             Some(s) => {
-                let (background, origin) = self
-                    .tasks
-                    .get(s.task)
-                    .map(|t| (t.background, t.origin))
-                    .unwrap_or((false, None));
+                let background = self.tasks.get(s.task).is_some_and(|t| t.background);
                 let d = self.cancel.request_cancel_recorded(
                     now,
                     s.key,
@@ -185,15 +181,6 @@ impl Inner {
                     // `Running`.
                     if let Some(t) = self.touch(s.task) {
                         t.state = TaskState::CancelRequested;
-                    }
-                    // Cross-node blame (§4): a canceled proxy task is
-                    // attributed to its remote root.
-                    if let Some(origin) = origin {
-                        self.remote_blame.push(crate::task::RemoteBlame {
-                            local_key: s.key,
-                            origin,
-                            at_ns: now,
-                        });
                     }
                     // Distributed extension: propagate the root
                     // cancellation to all descendant tasks.

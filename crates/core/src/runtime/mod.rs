@@ -124,11 +124,6 @@ struct Inner {
     /// emission site a single branch with no event construction.
     recorder: Option<Arc<dyn Recorder>>,
     stats: RuntimeStats,
-    /// Cross-node blame attributions (§4): one entry per cancel issued
-    /// against a task carrying a [`RemoteOrigin`]. The federation layer
-    /// drains these via the debug snapshot to drive upstream propagation
-    /// proofs (invariant I9).
-    remote_blame: Vec<crate::task::RemoteBlame>,
     /// Reusable drain buffer, refilled queue by queue so replay never
     /// allocates on the steady state.
     scratch: Vec<TraceRecord>,
@@ -203,7 +198,6 @@ impl AtroposRuntime {
             regular_overload_hook: None,
             recorder: None,
             stats: RuntimeStats::default(),
-            remote_blame: Vec::new(),
             scratch: Vec::new(),
             cfg,
         };
@@ -332,7 +326,6 @@ impl AtroposRuntime {
                 cancellable: t.cancellable,
                 background: t.background,
                 progress: t.progress.progress(0.0),
-                origin: t.origin,
                 usage: t
                     .usage
                     .iter()
@@ -371,7 +364,6 @@ impl AtroposRuntime {
                 canceled_keys: inner.cancel.canceled_keys(),
                 pending_reexec: inner.cancel.pending_reexec(),
                 outstanding_reexec: inner.cancel.outstanding_reexec(),
-                remote_blame: inner.remote_blame.clone(),
                 stats: inner.cancel.stats(),
             },
             stats,

@@ -16,34 +16,6 @@ use crate::policy::PolicyIndex;
 use crate::progress::ProgressTracker;
 use crate::resource::ResourceRegistry;
 
-/// Cross-node provenance of a task (§4 distributed extension): the
-/// end-to-end identity piggybacked over the RPC edge that created it.
-/// A task carrying an origin is a *proxy* for work rooted on another
-/// node; canceling it should be attributed to — and propagated toward —
-/// that root, not treated as local load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RemoteOrigin {
-    /// Root task key as minted on the originating node.
-    pub root_key: u64,
-    /// The originating node.
-    pub origin_node: u16,
-    /// Hops between the origin and this node.
-    pub hops: u8,
-}
-
-/// One cross-node blame attribution: a cancel issued here against a task
-/// that proxies a remote root. The federation layer reads these to prove
-/// blame conservation (invariant I9) and to drive upstream propagation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RemoteBlame {
-    /// The callee-local key the cancel was issued against.
-    pub local_key: TaskKey,
-    /// The remote root blamed.
-    pub origin: RemoteOrigin,
-    /// When the cancel was issued (ns).
-    pub at_ns: u64,
-}
-
 /// Lifecycle state of a cancellable task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskState {
@@ -84,8 +56,6 @@ pub struct TaskRecord {
     /// extension of §4: a root request fanning out to sub-tasks).
     /// Canceling the root propagates to all descendants.
     pub children: Vec<TaskId>,
-    /// Cross-node provenance, if this task proxies a remote root.
-    pub origin: Option<RemoteOrigin>,
     unit_since: Option<u64>,
     w_active_ns: u64,
     last_window_active_ns: u64,
@@ -112,7 +82,6 @@ impl TaskRecord {
             units_completed: 0,
             total_active_ns: 0,
             children: Vec::new(),
-            origin: None,
             unit_since: None,
             w_active_ns: 0,
             last_window_active_ns: 0,

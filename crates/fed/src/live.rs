@@ -155,8 +155,6 @@ pub fn run_fed_live(cfg: FedLiveConfig, mode: FedMode) -> FedLiveReport {
     let front_rt = Arc::new(AtroposRuntime::new(live_atropos_config(), clock.clone()));
     let back_rt = Arc::new(AtroposRuntime::new(live_atropos_config(), clock.clone()));
     let edge = FedEdge::over(NodeId(1), back_rt.clone());
-    let hook_rt = back_rt.clone();
-    edge.set_origin_hook(move |task, id| hook_rt.set_task_origin(task, id.remote_origin()));
     // Local leg of the edge: nothing to do on the backend beyond the
     // runtime's own bookkeeping — the culprit watches its *frontend*
     // token. Installing it also arms the upstream splitter.

@@ -71,19 +71,14 @@ impl FedNode {
         }
     }
 
-    /// Builds a callee tier: a [`FedEdge`] stacked over the injector,
-    /// with the origin hook recording cross-node provenance in the
-    /// runtime and the application initiator installed through the edge
-    /// (so blame-table hits also route upstream).
+    /// Builds a callee tier: a [`FedEdge`] stacked over the injector, with
+    /// the application initiator installed through the edge (so
+    /// blame-table hits also route upstream).
     pub fn backend(id: NodeId, clock: Arc<dyn Clock>, plan: &FaultPlan) -> Self {
         let rt = Arc::new(AtroposRuntime::new(fed_runtime_config(), clock));
         let obs = Observer::install(&rt, 32 * 1024);
         let inj = Arc::new(FaultInjector::new(rt.clone(), plan));
         let edge = FedEdge::over(id, inj.clone());
-        let rt_hook = rt.clone();
-        edge.set_origin_hook(move |task, identity| {
-            rt_hook.set_task_origin(task, identity.remote_origin());
-        });
         let delivered: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let (d, reg) = (delivered.clone(), obs.clone());
         let port: Arc<dyn RuntimePort> = edge.clone();

@@ -194,9 +194,12 @@ impl LatencyHistogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Removes all observations.
+    /// Removes all observations. Costs the span of buckets between the
+    /// smallest and largest value recorded, not the whole table.
     pub fn clear(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
+        if self.count > 0 {
+            self.counts[Self::index_of(self.min)..=Self::index_of(self.max)].fill(0);
+        }
         self.count = 0;
         self.sum = 0;
         self.min = u64::MAX;
@@ -324,6 +327,11 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.p99(), 0);
         assert_eq!(h.max(), 0);
+        // No bucket survives: a reused histogram reads like a new one.
+        h.record(50_000);
+        let mut fresh = LatencyHistogram::new();
+        fresh.record(50_000);
+        assert_eq!(h.counts, fresh.counts);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::sync::{Arc, Weak};
 
-use atropos::{RemoteOrigin, ResourceId, ResourceType, TaskId, TaskKey, TickOutcome};
+use atropos::{ResourceId, ResourceType, TaskId, TaskKey, TickOutcome};
 use atropos_sim::Clock;
 
 use crate::port::{CancelInitiator, RuntimePort};
@@ -149,15 +149,6 @@ impl EdgeIdentity {
         FED_KEY_BASE | ((self.origin().0 as u64 & 0xFF) << 48) | (self.root_key & ((1 << 48) - 1))
     }
 
-    /// The core-runtime blame record this identity maps onto.
-    pub fn remote_origin(&self) -> RemoteOrigin {
-        RemoteOrigin {
-            root_key: self.root_key,
-            origin_node: self.origin().0,
-            hops: (self.path.len().saturating_sub(1)).min(u8::MAX as usize) as u8,
-        }
-    }
-
     /// Encodes the identity as a wire frame:
     /// `magic(4) | root_key(8) | hops(2) | hop(2)* | fnv1a(4)`,
     /// all little-endian, checksum over everything before it.
@@ -235,9 +226,6 @@ pub struct EdgeStats {
     pub local_cancels: u64,
 }
 
-/// Hook invoked when a proxy task is registered with its identity.
-type OriginHook = Box<dyn Fn(TaskId, &EdgeIdentity) + Send + Sync>;
-
 struct EdgeInner {
     /// Frame armed for the next `create_cancel`, already encoded: every
     /// carried identity round-trips the wire codec.
@@ -249,9 +237,6 @@ struct EdgeInner {
     /// The cross-node cancel sink toward the origin (the caller installs
     /// it; chaos wraps it in edge faults).
     upstream: Option<Arc<dyn CancelInitiator>>,
-    /// Hook invoked when a proxy task is registered (the federation node
-    /// uses it to record the blame origin in the core runtime).
-    origin_hook: Option<OriginHook>,
 }
 
 /// The callee side of one RPC edge, as port middleware.
@@ -290,7 +275,6 @@ impl FedEdge {
                 blame: HashMap::new(),
                 local: None,
                 upstream: None,
-                origin_hook: None,
             }),
             frames_carried: AtomicU64::new(0),
             frames_rejected: AtomicU64::new(0),
@@ -331,12 +315,6 @@ impl FedEdge {
     /// node* — this is where chaos edge faults interpose.
     pub fn install_upstream(&self, sink: Arc<dyn CancelInitiator>) {
         self.st.lock().unwrap().upstream = Some(sink);
-    }
-
-    /// Registers a hook invoked with every newly opened proxy task and
-    /// its identity (used to record the blame origin in the runtime).
-    pub fn set_origin_hook(&self, hook: impl Fn(TaskId, &EdgeIdentity) + Send + Sync + 'static) {
-        self.st.lock().unwrap().origin_hook = Some(Box::new(hook));
     }
 
     /// The identity blamed for callee-local `key`, if the key proxies a
@@ -435,11 +413,7 @@ impl RuntimePort for FedEdge {
         let task = self.inner.create_cancel(key);
         if let Some(id) = identity {
             self.frames_carried.fetch_add(1, Ordering::Relaxed);
-            let mut st = self.st.lock().unwrap();
-            st.blame.insert(id.remote_key(), id.clone());
-            if let Some(hook) = &st.origin_hook {
-                hook(task, &id);
-            }
+            self.st.lock().unwrap().blame.insert(id.remote_key(), id);
         }
         task
     }
@@ -579,8 +553,6 @@ mod tests {
     fn edge_carries_identity_and_routes_cancels_upstream() {
         let rt = runtime();
         let edge = FedEdge::over(NodeId(1), rt.clone());
-        let rt_hook = rt.clone();
-        edge.set_origin_hook(move |task, id| rt_hook.set_task_origin(task, id.remote_origin()));
 
         let upstream = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let local = Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -598,12 +570,11 @@ mod tests {
         assert_eq!(upstream.lock().clone(), vec![5]);
         assert_eq!(local.lock().clone(), vec![id.remote_key()]);
 
-        // The runtime recorded the blame attribution against the origin.
-        let snap = rt.debug_snapshot();
-        assert_eq!(snap.cancel.remote_blame.len(), 1);
-        assert_eq!(snap.cancel.remote_blame[0].origin.root_key, 5);
-        assert_eq!(snap.cancel.remote_blame[0].origin.origin_node, 0);
-        assert_eq!(snap.cancel.remote_blame[0].local_key.0, id.remote_key());
+        // The blame table still names the origin after the cancel.
+        let blamed = edge
+            .blame_for(id.remote_key())
+            .expect("proxy key stays blamed");
+        assert_eq!((blamed.root_key, blamed.origin()), (5, NodeId(0)));
 
         port.free_cancel(task);
         let st = edge.stats();
@@ -630,7 +601,7 @@ mod tests {
         assert_eq!(local.lock().clone(), vec![77]);
         assert_eq!(edge.stats().local_cancels, 1);
         port.free_cancel(t);
-        // No origin, no blame record.
-        assert!(rt.debug_snapshot().cancel.remote_blame.is_empty());
+        // No identity, no blame record.
+        assert_eq!(edge.blame_for(77), None);
     }
 }

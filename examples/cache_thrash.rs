@@ -35,12 +35,7 @@ fn timeline(label: &str, m: &ServerMetrics) {
         m.completed, m.canceled, m.dropped
     );
     println!("  t(s)  tput(kQPS)  p99(ms)");
-    for w in m
-        .series
-        .windows()
-        .iter()
-        .filter(|w| w.start % 500_000_000 == 0)
-    {
+    for w in m.series.windows().filter(|w| w.start % 500_000_000 == 0) {
         // One row per 0.5 s (windows are 100 ms wide).
         let t = w.start as f64 / 1e9;
         if t < 1.0 {
