@@ -90,7 +90,7 @@ fn bench_policy_index(c: &mut Criterion) {
         index.reset(N_RESOURCES);
         let mut tasks = TaskTable::new(0);
         for i in 0..n {
-            let mut t = TaskRecord::new(TaskId(i as u64), TaskKey(i as u64), 0, N_RESOURCES);
+            let mut t = TaskRecord::new(TaskId(i as u64), TaskKey(i as u64), N_RESOURCES);
             if i < busy {
                 t.on_unit_start(0);
                 t.usage[i % N_RESOURCES].on_get(10, 1 + (i as u64 % 5));
@@ -165,7 +165,7 @@ fn bench_estimate(c: &mut Criterion) {
     for &n in &[64usize, 512, 4096] {
         let mut tasks: Vec<TaskRecord> = (0..n)
             .map(|i| {
-                let mut t = TaskRecord::new(TaskId(i as u64), TaskKey(i as u64), 0, N_RESOURCES);
+                let mut t = TaskRecord::new(TaskId(i as u64), TaskKey(i as u64), N_RESOURCES);
                 t.on_unit_start(0);
                 t.usage[i % N_RESOURCES].on_get(10, 1 + (i as u64 % 5));
                 if i % 3 == 0 {

@@ -2,16 +2,17 @@
 //!
 //! This is the real-time counterpart of §5.5: the per-event cost of
 //! `get/free/slow_by_resource` in sampled-timestamp mode (the normal-load
-//! hot path) vs precise mode (potential overload), plus task lifecycle
-//! and progress reporting.
+//! hot path) vs precise mode (potential overload), plus task lifecycle,
+//! progress reporting and one whole steady request.
 
 use std::sync::Arc;
 
 use atropos::lockfree::LockFreeIngest;
 use atropos::trace::PushOutcome;
 use atropos::{AtroposConfig, AtroposRuntime, ResourceType, TimestampMode};
+use atropos_bench::requestload::RequestLoad;
 use atropos_bench::scaling;
-use atropos_sim::{Clock, SystemClock};
+use atropos_sim::{Clock, SystemClock, VirtualClock};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -60,6 +61,18 @@ fn bench_tracing(c: &mut Criterion) {
             rt.free_cancel(t);
         })
     });
+    // The whole `steady_emit` request, on the system clock and on a
+    // virtual one: the difference is what its clock reads cost.
+    let clocks: [(&str, Arc<dyn Clock>); 2] = [
+        ("system_clock", Arc::new(SystemClock::new())),
+        ("virtual_clock", Arc::new(VirtualClock::new())),
+    ];
+    for (name, clock) in clocks {
+        let load = RequestLoad::new(clock, 0);
+        g.bench_function(format!("steady_request/{name}"), |b| {
+            b.iter(|| load.request())
+        });
+    }
     g.finish();
 }
 

@@ -13,6 +13,7 @@
 //!   the simulator substrate itself.
 
 pub mod capacity;
+pub mod requestload;
 pub mod scaling;
 pub mod tickload;
 

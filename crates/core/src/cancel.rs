@@ -316,20 +316,26 @@ impl CancelManager {
     /// `key` was canceled and this is the first time it reaches a terminal
     /// state, a `CancelCompleted` event carries the issue-to-completion
     /// latency. Keys canceled by propagation carry issue time 0 and are
-    /// reported with zero latency rather than a bogus span.
-    pub fn note_finished_recorded(&mut self, now: u64, key: TaskKey, rec: &RecorderHandle<'_>) {
+    /// reported with zero latency rather than a bogus span. `now` is
+    /// called only to build that event: a request that was never canceled,
+    /// or has no recorder to report to, does not read the clock.
+    pub fn note_finished_recorded(
+        &mut self,
+        now: impl FnOnce() -> u64,
+        key: TaskKey,
+        rec: &RecorderHandle<'_>,
+    ) {
         self.note_finished(key);
         if let Some(&issued_at) = self.canceled_keys.get(&key) {
             if self.completed_keys.insert(key) {
-                let time_to_cancel_ns = if issued_at == 0 {
-                    0
-                } else {
-                    now.saturating_sub(issued_at)
-                };
                 rec.emit(|tick| DecisionEvent::CancelCompleted {
                     tick,
                     key,
-                    time_to_cancel_ns,
+                    time_to_cancel_ns: if issued_at == 0 {
+                        0
+                    } else {
+                        now().saturating_sub(issued_at)
+                    },
                 });
             }
         }

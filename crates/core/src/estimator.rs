@@ -414,7 +414,7 @@ mod tests {
     }
 
     fn task(id: u64, n: usize) -> TaskRecord {
-        TaskRecord::new(TaskId(id), TaskKey(id), 0, n)
+        TaskRecord::new(TaskId(id), TaskKey(id), n)
     }
 
     #[test]

@@ -1,4 +1,8 @@
-//! Identifiers for cancellable tasks and application resources.
+//! Identifiers for cancellable tasks and application resources, and the
+//! hasher for tables keyed by the ones the runtime assigns.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -77,6 +81,57 @@ impl std::fmt::Display for ResourceType {
     }
 }
 
+/// Hasher for keys the runtime assigns itself — [`TaskId`]s and
+/// policy-index slots, dense counters no application chooses — so flooding
+/// resistance buys nothing and SipHash is pure cost on the request path.
+///
+/// One multiply-and-rotate step per word (the FxHash recurrence). The odd
+/// multiplier carries consecutive keys into the top 7 bits, where
+/// hashbrown takes its probe tag from, and keeps the low bits a
+/// permutation of the key's, so `n` consecutive ids land in `n` distinct
+/// buckets of any table with at least `n`. Identity hashing would leave
+/// every tag 0.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl IdHasher {
+    const MUL: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MUL);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+}
+
+/// A map keyed by runtime-assigned ids; see [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A set of runtime-assigned ids; see [`IdHasher`].
+pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,5 +156,27 @@ mod tests {
     #[test]
     fn resource_id_index_roundtrip() {
         assert_eq!(ResourceId(7).index(), 7);
+    }
+
+    /// What hashbrown needs from the hash of 65 536 consecutive task ids:
+    /// the top 7 bits (the probe tag) take every value, and the low 16
+    /// bits (the bucket of a 2^16 table) are a permutation.
+    #[test]
+    fn consecutive_ids_spread_over_tags_and_buckets() {
+        use std::hash::BuildHasher;
+        const N: u64 = 1 << 16;
+        let build = BuildHasherDefault::<IdHasher>::default();
+        let mut tags = HashSet::new();
+        let mut buckets = vec![false; N as usize];
+        for id in 1..=N {
+            let h = build.hash_one(TaskId(id));
+            tags.insert(h >> 57);
+            buckets[(h % N) as usize] = true;
+        }
+        assert_eq!(tags.len(), 128, "top-7-bit tags in use");
+        assert!(
+            buckets.iter().all(|&b| b),
+            "low 16 bits are not a permutation"
+        );
     }
 }

@@ -38,15 +38,13 @@
 //! normalized with the shared division, which keeps results bit-identical
 //! to the naive oracle.
 
-use std::collections::{HashMap, HashSet};
-
 use super::{dominates, Selection};
 use crate::config::{AtroposConfig, PolicyKind};
 use crate::estimator::{
     derive_task_terms, gain_snapshot, normalize_gain, resource_snapshots_from_sums,
     EstimatorSnapshot, ResourceSnapshot, TaskGainSnapshot, TaskTerms,
 };
-use crate::ids::{TaskId, TaskKey};
+use crate::ids::{IdMap, IdSet, TaskId, TaskKey};
 use crate::record::{GainTerm, MAX_GAIN_TERMS};
 use crate::resource::ResourceRegistry;
 use crate::task::TaskRecord;
@@ -109,9 +107,9 @@ pub struct PolicyIndex {
     n: usize,
     slots: Vec<Option<Slot>>,
     free: Vec<u32>,
-    by_task: HashMap<TaskId, u32>,
+    by_task: IdMap<TaskId, u32>,
     /// Per resource: slots with a positive raw gain (future or current).
-    postings: Vec<HashSet<u32>>,
+    postings: Vec<IdSet<u32>>,
     max_future: Vec<MaxTrack>,
     max_current: Vec<MaxTrack>,
     // Global window sums across all slots (including inactive tasks,
@@ -145,7 +143,7 @@ impl PolicyIndex {
     pub fn reset(&mut self, n: usize) {
         *self = PolicyIndex {
             n,
-            postings: vec![HashSet::new(); n],
+            postings: vec![IdSet::default(); n],
             max_future: vec![MaxTrack::default(); n],
             max_current: vec![MaxTrack::default(); n],
             wait: vec![0; n],
@@ -398,7 +396,7 @@ impl PolicyIndex {
     /// neither win nor dominate a positive-score task), then the skyline
     /// max-score tie-group dominance check.
     fn select_scalarized(&self, future: bool) -> Option<Selection> {
-        let mut seen: HashSet<u32> = HashSet::new();
+        let mut seen: IdSet<u32> = IdSet::default();
         let mut max = f64::NEG_INFINITY;
         let mut group: Vec<u32> = Vec::new();
         for r in &self.resources {
@@ -524,6 +522,8 @@ impl PolicyIndex {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::estimator::estimate;
     use crate::ids::ResourceType;
@@ -569,10 +569,10 @@ mod tests {
             }
         }
 
-        fn create(&mut self, id: u64, now: u64) {
+        fn create(&mut self, id: u64) {
             let id = TaskId(id);
             if !self.eager.contains_key(&id) {
-                let rec = || TaskRecord::new(id, TaskKey(id.0), now, self.reg.len());
+                let rec = || TaskRecord::new(id, TaskKey(id.0), self.reg.len());
                 self.eager.insert(id, rec());
                 self.tasks.insert(rec());
             }
@@ -674,7 +674,7 @@ mod tests {
     fn fresh_index_matches_batch_estimate() {
         let mut ls = Lockstep::new(1);
         for id in 1..=4u64 {
-            ls.create(id, 0);
+            ls.create(id);
             ls.apply(id, |t| {
                 t.usage[0].on_get(0, 100 * t.id.0);
                 t.usage[1].on_slow(0, 1);
@@ -702,7 +702,7 @@ mod tests {
     fn updates_track_mutation_add_and_remove() {
         let mut ls = Lockstep::new(1);
         for id in 1..=3u64 {
-            ls.create(id, 0);
+            ls.create(id);
             ls.apply(id, |t| {
                 t.usage[1].on_get(0, 1);
                 t.usage[1].on_free(10 * t.id.0, 1);
@@ -712,7 +712,7 @@ mod tests {
 
         // Window 2: task 2 gets busy again, task 4 appears, task 3 leaves.
         ls.apply(2, |t| t.usage[0].on_get(1500, 50));
-        ls.create(4, 1500);
+        ls.create(4);
         ls.apply(4, |t| t.usage[2].on_slow(1500, 1));
         ls.remove(3);
         ls.tick(2000);
@@ -734,7 +734,7 @@ mod tests {
     fn touches_pick_up_out_of_band_changes() {
         let mut ls = Lockstep::new(1);
         for id in 1..=2u64 {
-            ls.create(id, 0);
+            ls.create(id);
             ls.apply(id, |t| t.usage[0].on_get(0, 100));
         }
         ls.tick(1000);
@@ -754,7 +754,7 @@ mod tests {
     #[test]
     fn resource_registration_starts_the_index_over() {
         let mut ls = Lockstep::new(0);
-        ls.create(1, 0);
+        ls.create(1);
         ls.apply(1, |t| t.usage[0].on_get(0, 1));
         ls.tick(1000);
         ls.tick(2000);
@@ -775,10 +775,10 @@ mod tests {
     fn parked_memory_holders_sum_in_closed_form_over_jittered_windows() {
         let mut ls = Lockstep::new(0);
         for id in 1..=6u64 {
-            ls.create(id, 0);
+            ls.create(id);
             ls.apply(id, |t| t.usage[0].on_get(5, t.id.0));
         }
-        ls.create(7, 0);
+        ls.create(7);
         ls.apply(7, |t| t.usage[1].on_get(5, 1));
         ls.tick(100);
         ls.tick(250);
@@ -879,7 +879,7 @@ mod tests {
                     }
                 };
                 match op {
-                    Op::Create(id) => ls.create(id, now),
+                    Op::Create(id) => ls.create(id),
                     Op::Remove(id) => ls.remove(id),
                     Op::Get(id, r, a) => ls.apply(id, usage(r, |u, now, a| u.on_get(now, a), a)),
                     Op::Free(id, r, a) => ls.apply(id, usage(r, |u, now, a| u.on_free(now, a), a)),
@@ -922,7 +922,7 @@ mod tests {
                 now += 7;
                 let (tasks, parked) = (ls.tasks.len(), ls.parked());
                 match op {
-                    Op::Create(id) => ls.create(id, now),
+                    Op::Create(id) => ls.create(id),
                     Op::Remove(id) => ls.remove(id),
                     Op::Get(id, r, a) if r < ls.reg.len() => {
                         ls.apply(id, |t| t.usage[r].on_get(now, a))

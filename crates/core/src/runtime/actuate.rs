@@ -23,7 +23,6 @@ impl AtroposRuntime {
     /// if `None`, a unique key is generated. A task whose key was canceled
     /// before is registered non-cancellable (re-execution fairness, §4).
     pub fn create_cancel(&self, key: Option<u64>) -> TaskId {
-        let now = self.clock.now_ns();
         let mut inner = self.inner.lock();
         let key = match key {
             Some(k) => TaskKey(k),
@@ -36,7 +35,7 @@ impl AtroposRuntime {
         let id = TaskId(inner.next_task);
         inner.next_task += 1;
         let n = inner.resources.len();
-        let mut rec = TaskRecord::new(id, key, now, n);
+        let mut rec = TaskRecord::new(id, key, n);
         if inner.cancel.was_canceled(key) {
             rec.cancellable = false;
         }
@@ -49,12 +48,13 @@ impl AtroposRuntime {
     pub fn free_cancel(&self, task: TaskId) {
         // Drain first so the task's buffered events land in its usage
         // accounting (not in `ignored_events`) before the record goes.
-        let now = self.clock.now_ns();
         let mut inner = self.lock_drained();
         let inner = &mut *inner;
         if let Some(key) = inner.tasks.remove(task, &mut inner.policy_index) {
             let sink = inner.recorder.clone();
             let handle = RecorderHandle::new(sink.as_deref(), inner.stats.ticks);
+            // The clock is read only for a `CancelCompleted` event.
+            let now = || self.clock.now_ns();
             inner.cancel.note_finished_recorded(now, key, &handle);
         }
     }

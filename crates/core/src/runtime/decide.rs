@@ -11,7 +11,7 @@ use super::{AtroposRuntime, Inner, TickOutcome};
 use crate::cancel::CancelDecision;
 use crate::detect::OverloadSignal;
 use crate::estimator::bottlenecked;
-use crate::ids::{ResourceType, TaskId, TaskKey};
+use crate::ids::{IdSet, ResourceType, TaskId, TaskKey};
 use crate::phase::{PhaseTimer, TickPhase};
 use crate::record::{CancelOrigin, DecisionEvent, RecorderHandle};
 use crate::task::{TaskState, TaskTable};
@@ -206,7 +206,7 @@ impl Inner {
 /// breadth-first and cycle-safe.
 fn descendant_keys(tasks: &TaskTable, root: TaskId) -> Vec<TaskKey> {
     let mut out = Vec::new();
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = IdSet::default();
     seen.insert(root);
     let mut frontier = vec![root];
     while let Some(id) = frontier.pop() {

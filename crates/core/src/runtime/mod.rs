@@ -1335,6 +1335,97 @@ mod tests {
         assert_eq!(rt.stats().trace_events, 1);
     }
 
+    /// A [`VirtualClock`] that counts its reads.
+    struct CountingClock {
+        inner: VirtualClock,
+        reads: AtomicU64,
+    }
+
+    impl Clock for CountingClock {
+        fn now_ns(&self) -> u64 {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.inner.now_ns()
+        }
+    }
+
+    /// The request path reads the clock only where the value is used: a
+    /// trace event for its stamp, a unit boundary for its latency, and
+    /// `free_cancel` only to report how long a cancelled task took to go.
+    #[test]
+    fn request_verbs_read_the_clock_only_where_the_value_is_used() {
+        use crate::record::DecisionEvent;
+        struct Sink(parking_lot::Mutex<Vec<DecisionEvent>>);
+        impl Recorder for Sink {
+            fn record(&self, event: DecisionEvent) {
+                self.0.lock().push(event);
+            }
+        }
+        let clock = Arc::new(CountingClock {
+            inner: VirtualClock::new(),
+            reads: AtomicU64::new(0),
+        });
+        let rt = AtroposRuntime::new(AtroposConfig::default(), clock.clone());
+        let sink = Arc::new(Sink(parking_lot::Mutex::new(Vec::new())));
+        rt.set_recorder(sink.clone());
+        rt.set_cancel_action(|_| {});
+        let pool = rt.register_resource("pool", ResourceType::Memory);
+        let reads = |verb: &'static str, f: &dyn Fn()| {
+            let before = clock.reads.load(Ordering::Relaxed);
+            f();
+            (verb, clock.reads.load(Ordering::Relaxed) - before)
+        };
+        let t = rt.create_cancel(Some(1));
+        let got = vec![
+            reads("create_cancel", &|| {
+                rt.create_cancel(None);
+            }),
+            reads("unit_started", &|| rt.unit_started(t)),
+            reads("get", &|| rt.get_resource(t, pool, 1)),
+            reads("free", &|| rt.free_resource(t, pool, 1)),
+            reads("slow_by", &|| rt.slow_by_resource(t, pool, 1)),
+            reads("report_progress", &|| rt.report_progress(t, 1, 2)),
+            reads("unit_finished", &|| {
+                rt.unit_finished(t);
+            }),
+            reads("free_cancel, never cancelled", &|| rt.free_cancel(t)),
+        ];
+        let expected = [
+            ("create_cancel", 0),
+            ("unit_started", 1),
+            ("get", 1),
+            ("free", 1),
+            ("slow_by", 1),
+            ("report_progress", 0),
+            ("unit_finished", 1),
+            ("free_cancel, never cancelled", 0),
+        ];
+        assert_eq!(got, expected);
+
+        let victim = rt.create_cancel(Some(7));
+        // Issued at a non-zero time: issue time 0 marks a propagated key.
+        clock.inner.advance_to(SimTime::from_millis(2));
+        assert_eq!(rt.cancel_key(TaskKey(7)), CancelDecision::Issued);
+        clock.inner.advance_to(SimTime::from_millis(5));
+        assert_eq!(
+            reads("free_cancel, cancelled", &|| rt.free_cancel(victim)).1,
+            1
+        );
+        let completed: Vec<_> = sink
+            .0
+            .lock()
+            .iter()
+            .filter_map(|e| match e {
+                DecisionEvent::CancelCompleted {
+                    key,
+                    time_to_cancel_ns,
+                    ..
+                } => Some((*key, *time_to_cancel_ns)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(completed, vec![(TaskKey(7), 3 * MS)]);
+    }
+
     #[test]
     fn forced_timestamp_mode_sticks_until_tick() {
         let (_c, rt) = setup(10);

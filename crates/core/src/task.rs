@@ -7,11 +7,9 @@
 //! progress, and execution activity to each task, and keeps the **visit
 //! set**: the tasks a tick has to look at.
 
-use std::collections::HashMap;
-
 use crate::accounting::UsageStats;
 use crate::config::AtroposConfig;
-use crate::ids::{ResourceType, TaskId, TaskKey};
+use crate::ids::{IdMap, ResourceType, TaskId, TaskKey};
 use crate::policy::PolicyIndex;
 use crate::progress::ProgressTracker;
 use crate::resource::ResourceRegistry;
@@ -42,8 +40,6 @@ pub struct TaskRecord {
     /// Background tasks have no SLO; their canceled work is re-executed
     /// after a maximum wait instead of being dropped.
     pub background: bool,
-    /// Registration time (ns).
-    pub created_at: u64,
     /// Per-resource usage, indexed by `ResourceId::index()`.
     pub usage: Vec<UsageStats>,
     /// GetNext progress state.
@@ -69,14 +65,13 @@ const PARKED: u32 = u32::MAX;
 
 impl TaskRecord {
     /// Creates a record with usage slots for `n_resources` resources.
-    pub fn new(id: TaskId, key: TaskKey, now: u64, n_resources: usize) -> Self {
+    pub fn new(id: TaskId, key: TaskKey, n_resources: usize) -> Self {
         Self {
             id,
             key,
             state: TaskState::Running,
             cancellable: true,
             background: false,
-            created_at: now,
             usage: (0..n_resources).map(|_| UsageStats::default()).collect(),
             progress: ProgressTracker::default(),
             units_completed: 0,
@@ -199,7 +194,7 @@ impl TaskRecord {
 /// task created and retired between two ticks costs neither anything.
 #[derive(Debug)]
 pub struct TaskTable {
-    map: HashMap<TaskId, TaskRecord>,
+    map: IdMap<TaskId, TaskRecord>,
     visit: Vec<TaskId>,
     /// When the last [`TaskTable::roll`] closed its window, and how long
     /// after the roll before: what a parked holder is caught up with.
@@ -211,7 +206,7 @@ impl TaskTable {
     /// An empty table whose first window opens at `origin_ns`.
     pub fn new(origin_ns: u64) -> Self {
         TaskTable {
-            map: HashMap::new(),
+            map: IdMap::default(),
             visit: Vec::new(),
             last_roll_ns: origin_ns,
             last_delta_ns: 0,
@@ -379,7 +374,7 @@ mod tests {
     use super::*;
 
     fn rec() -> TaskRecord {
-        TaskRecord::new(TaskId(1), TaskKey(42), 0, 2)
+        TaskRecord::new(TaskId(1), TaskKey(42), 2)
     }
 
     #[test]
@@ -486,7 +481,7 @@ mod tests {
     fn lock_holders_open_waits_and_open_units_stay_visited() {
         let (mut tasks, mut index, reg, cfg) = table();
         for id in 1..=3 {
-            tasks.insert(TaskRecord::new(TaskId(id), TaskKey(id), 0, 2));
+            tasks.insert(TaskRecord::new(TaskId(id), TaskKey(id), 2));
         }
         tasks.touch(TaskId(1), &mut index).unwrap().usage[1].on_get(10, 1);
         tasks.touch(TaskId(2), &mut index).unwrap().usage[1].on_slow(10, 1);
@@ -505,7 +500,7 @@ mod tests {
     fn retiring_keeps_positions_consistent_visited_or_parked() {
         let (mut tasks, mut index, reg, cfg) = table();
         for id in 1..=4 {
-            tasks.insert(TaskRecord::new(TaskId(id), TaskKey(id), 0, 2));
+            tasks.insert(TaskRecord::new(TaskId(id), TaskKey(id), 2));
             tasks
                 .touch(TaskId(id), &mut index)
                 .unwrap()

@@ -76,6 +76,8 @@ contended = {
 }
 
 lockfree_push_ns = ns("ingest_emit/lockfree_push")
+steady_system = ns("tracing/steady_request/system_clock")
+steady_virtual = ns("tracing/steady_request/virtual_clock")
 drain = rows.get("tick_drain/emit_and_drain_1024", {})
 drain_ns_per_event = round(drain["ns_per_iter"] / 1024, 2) if drain else None
 
@@ -138,6 +140,19 @@ snapshot = {
         k.split("/", 1)[1]: ns(k)
         for k in rows
         if k.startswith("tracing/")
+    },
+    # One whole steady_emit request (create, start, 8 get/free pairs,
+    # progress, finish, free) on the system clock and on a virtual one
+    # whose reads cost next to nothing: the difference is the clock's
+    # share of a request.
+    "steady_request": {
+        "system_clock_ns": steady_system,
+        "virtual_clock_ns": steady_virtual,
+        "clock_share_pct": (
+            round(100 * (1 - steady_virtual / steady_system), 1)
+            if steady_system and steady_virtual
+            else None
+        ),
     },
     "policy_ns": {k.split("/", 1)[1]: ns(k) for k in rows if k.startswith("policy/")},
     "policy_index_ns": {
