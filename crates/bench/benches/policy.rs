@@ -1,120 +1,32 @@
 //! Criterion bench: estimation + Algorithm 1 at scale.
 //!
 //! The paper requires cancellation decisions "at microsecond granularity"
-//! (§3.4). This bench measures the non-dominated-set + scalarization
-//! policy and the full estimator pass as the number of live tasks grows.
+//! (§3.4). This bench measures the policy index the tick decides from —
+//! refresh, selection for every `PolicyKind`, the recorder's ranking —
+//! the batch estimator pass, and the tick's phases as the number of live
+//! tasks grows.
 
-use atropos::estimator::{EstimatorSnapshot, ResourceSnapshot, TaskGainSnapshot};
-use atropos::policy::{CancellationPolicy, HeuristicPolicy, MultiObjectivePolicy};
-use atropos::{ResourceId, ResourceType, TaskId, TaskKey};
+use atropos::{ResourceType, TaskId, TaskKey};
+use atropos_bench::indexload::{IndexLoad, N_RESOURCES};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
-const N_RESOURCES: usize = 7;
-
-fn snapshot(n_tasks: usize, seed: u64) -> EstimatorSnapshot {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let resources = (0..N_RESOURCES)
-        .map(|i| {
-            let c = rng.gen_range(0.0..2.0);
-            ResourceSnapshot {
-                id: ResourceId(i as u32),
-                rtype: ResourceType::Lock,
-                contention: c,
-                normalized: c / 10.0,
-                weight: 1.0 / N_RESOURCES as f64,
-                wait_ns: 0,
-                hold_ns: 0,
-                acquired: 0,
-                slow_amount: 0,
-            }
-        })
-        .collect();
-    let tasks = (0..n_tasks)
-        .map(|i| {
-            let gains: Vec<f64> = (0..N_RESOURCES).map(|_| rng.gen_range(0.0..1.0)).collect();
-            TaskGainSnapshot {
-                task: TaskId(i as u64),
-                key: TaskKey(i as u64),
-                cancellable: true,
-                current: gains.clone(),
-                gains,
-                progress: Some(rng.gen_range(0.02..1.0)),
-            }
-        })
-        .collect();
-    EstimatorSnapshot {
-        resources,
-        tasks,
-        t_exec_ns: 1_000_000,
-    }
-}
-
-fn bench_policies(c: &mut Criterion) {
-    let mut g = c.benchmark_group("policy");
-    g.sample_size(30);
-    for &n in &[16usize, 64, 256, 1024, 4096, 16384] {
-        let snap = snapshot(n, 7);
-        g.bench_with_input(BenchmarkId::new("multi_objective", n), &snap, |b, s| {
-            b.iter(|| MultiObjectivePolicy.select(black_box(s)))
-        });
-        g.bench_with_input(BenchmarkId::new("heuristic", n), &snap, |b, s| {
-            b.iter(|| HeuristicPolicy.select(black_box(s)))
-        });
-    }
-    g.finish();
-}
-
 /// The incremental engine: full rebuild vs. steady-state delta refresh
-/// vs. indexed selection, at populations the naive path cannot survive.
+/// vs. indexed selection and ranking, at populations the naive path
+/// cannot survive.
 fn bench_policy_index(c: &mut Criterion) {
-    use atropos::policy::PolicyIndex;
-    use atropos::resource::ResourceRegistry;
-    use atropos::task::{TaskRecord, TaskTable};
-    use atropos::{AtroposConfig, PolicyKind};
+    use atropos::PolicyKind;
 
     let mut g = c.benchmark_group("policy_index");
     g.sample_size(30);
-    let mut reg = ResourceRegistry::new();
-    for i in 0..N_RESOURCES {
-        reg.register(format!("r{i}"), ResourceType::Lock);
-    }
-    let cfg = AtroposConfig::default();
-
-    // `busy` tasks keep an open unit and held LOCK units, so they stay in
-    // the visit set and every window re-derives them; the rest touch a
-    // resource once, release it, and park after two rolls.
-    let build = |n: usize, busy: usize| -> (TaskTable, PolicyIndex) {
-        let mut index = PolicyIndex::new();
-        index.reset(N_RESOURCES);
-        let mut tasks = TaskTable::new(0);
-        for i in 0..n {
-            let mut t = TaskRecord::new(TaskId(i as u64), TaskKey(i as u64), N_RESOURCES);
-            if i < busy {
-                t.on_unit_start(0);
-                t.usage[i % N_RESOURCES].on_get(10, 1 + (i as u64 % 5));
-                if i % 3 == 0 {
-                    t.usage[(i + 1) % N_RESOURCES].on_slow(20, 1);
-                }
-            } else {
-                t.usage[i % N_RESOURCES].on_get(10, 1);
-                t.usage[i % N_RESOURCES].on_free(20, 1);
-            }
-            tasks.insert(t);
-        }
-        tasks.roll(1_000_000);
-        (tasks, index)
-    };
-
     for &n in &[4096usize, 16384] {
-        let (mut tasks, mut index) = build(n, n);
+        let mut load = IndexLoad::new(n, n);
         g.bench_function(BenchmarkId::new("full_build", n), |b| {
             b.iter(|| {
                 // What a resource registration costs the next tick: the
                 // index starts over and every task is visited.
-                tasks.grow_resources(N_RESOURCES, &mut index);
-                tasks.refresh(black_box(&mut index), &reg, &cfg, true);
+                load.tasks.grow_resources(N_RESOURCES, &mut load.index);
+                black_box(&mut load).refresh();
             })
         });
     }
@@ -122,31 +34,42 @@ fn bench_policy_index(c: &mut Criterion) {
     // Steady state: K busy tasks churn inside a large, parked population.
     // Each iteration is one candidate tick — roll and refresh the visit
     // set, settle the index.
-    let n = 16384usize;
     for &k in &[16usize, 256] {
-        let (mut tasks, mut index) = build(n, k);
+        let mut load = IndexLoad::new(16384, k);
         let mut now = 1_000_000u64;
         // Park the idle population.
         for _ in 0..2 {
             now += 1_000_000;
-            tasks.roll(now);
-            tasks.refresh(&mut index, &reg, &cfg, true);
+            load.tasks.roll(now);
+            load.refresh();
         }
-        assert_eq!(tasks.visited(), k);
+        assert_eq!(load.tasks.visited(), k);
         g.bench_function(BenchmarkId::new("delta_refresh", k), |b| {
             b.iter(|| {
                 now += 1_000_000;
-                tasks.roll(now);
-                tasks.refresh(black_box(&mut index), &reg, &cfg, true);
+                load.tasks.roll(now);
+                black_box(&mut load).refresh();
             })
         });
     }
 
-    // Indexed selection over a fully refreshed 16k-task index.
-    let (mut tasks, mut index) = build(n, n);
-    tasks.refresh(&mut index, &reg, &cfg, true);
-    g.bench_function(BenchmarkId::new("select", n), |b| {
-        b.iter(|| black_box(&index).select(PolicyKind::MultiObjective))
+    // Selection over a settled index where every task is busy.
+    for n in [1024usize, 16384] {
+        let load = IndexLoad::settled(n);
+        for (kind, name) in [
+            (PolicyKind::MultiObjective, "multi_objective"),
+            (PolicyKind::Heuristic, "heuristic"),
+            (PolicyKind::CurrentUsage, "current_usage"),
+        ] {
+            g.bench_function(BenchmarkId::new(format!("select/{name}"), n), |b| {
+                b.iter(|| black_box(&load.index).select(kind))
+            });
+        }
+    }
+    // The recorder's explanation pass: the full non-dominated ranking.
+    let load = IndexLoad::settled(1024);
+    g.bench_function(BenchmarkId::new("ranked", 1024), |b| {
+        b.iter(|| black_box(&load.index).ranked())
     });
     g.finish();
 }
@@ -220,7 +143,6 @@ fn bench_tick_phases(_: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_policies,
     bench_policy_index,
     bench_estimate,
     bench_tick_phases

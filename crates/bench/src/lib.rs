@@ -9,10 +9,11 @@
 //!   through the scenario harness and writes the results to `results/`,
 //! - criterion microbenches (`cargo bench`) measure the real cost of the
 //!   framework's hot paths: the tracing APIs in sampled vs precise mode,
-//!   the multi-objective policy at scale, accounting window rollups, and
+//!   the policy index at scale, accounting window rollups, and
 //!   the simulator substrate itself.
 
 pub mod capacity;
+pub mod indexload;
 pub mod requestload;
 pub mod scaling;
 pub mod tickload;

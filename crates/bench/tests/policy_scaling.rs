@@ -1,116 +1,73 @@
-//! Policy scaling guard: Algorithm 1 must stay within a constant factor
-//! of the greedy baseline.
+//! Policy scaling guard: selection from the policy index — what every
+//! candidate tick runs — must stay linear in the candidates it scans.
 //!
-//! Before the skyline rewrite, `multi_objective/1024` ran the all-pairs
-//! non-dominated filter — O(n²·R) — and sat three orders of magnitude
-//! above `heuristic/1024`. The sort-based skyline brings it to O(n·R),
-//! the same complexity class as the heuristic's single-resource scan, so
-//! the ratio between the two is a small constant. This guard holds that
-//! ratio at 10× on the bench suite's own 1024-task snapshot: anyone who
-//! reintroduces an accidentally quadratic step into the selection path
-//! fails this test loudly instead of silently regressing the tick.
+//! Each of the three `PolicyKind`s is timed on a settled index of 16 384
+//! busy tasks and on one of 1 024 (`benches/policy.rs`'s
+//! `policy_index/select/*` geometry). Linear selection reads 16×; one
+//! accidentally quadratic step (an all-pairs dominance filter, a rescan
+//! per candidate) reads 256×. The guard holds the ratio at 64×, so such a
+//! step fails this test loudly instead of silently regressing the tick.
 //!
-//! The bound is a *paired ratio* measured in-process — both policies run
-//! on the same snapshot, same machine, interleaved attempts, minimum
-//! ratio wins — so hardware speed cancels out and the guard is meaningful
-//! on any builder. Like the other perf guards, the numeric bound only
-//! binds in optimized builds; a debug build still exercises both paths.
+//! The bound is a *paired ratio* measured in-process — both sizes in the
+//! same process, interleaved attempts, minimum ratio wins — so hardware
+//! speed cancels out and the guard is meaningful on any machine. Like the
+//! other perf guards, the numeric bound only binds in optimized builds; a
+//! debug build still exercises every path. Run with `--nocapture` to see
+//! the three ratios.
 
-use atropos::estimator::{EstimatorSnapshot, ResourceSnapshot, TaskGainSnapshot};
-use atropos::policy::{CancellationPolicy, HeuristicPolicy, MultiObjectivePolicy};
-use atropos::{ResourceId, ResourceType, TaskId, TaskKey};
-use rand::{Rng, SeedableRng};
+use atropos::PolicyKind;
+use atropos_bench::indexload::IndexLoad;
 use std::hint::black_box;
 
-/// Maximum allowed `multi_objective/1024 ÷ heuristic/1024` in optimized
-/// builds (the ISSUE's acceptance bound).
-const MAX_RATIO: f64 = 10.0;
+/// Maximum allowed `select/16384 ÷ select/1024` in optimized builds.
+const MAX_RATIO: f64 = 64.0;
 /// Interleaved measurement attempts; the minimum paired ratio is used.
-const ATTEMPTS: u32 = 15;
+const ATTEMPTS: u32 = 9;
 /// Per-attempt measurement budget handed to the criterion shim.
 const BUDGET_MS: u64 = 40;
-
-/// Same snapshot builder (and seed) as `benches/policy.rs`, so the guard
-/// measures exactly the workload the recorded bench figures describe.
-fn snapshot(n_tasks: usize, seed: u64) -> EstimatorSnapshot {
-    const N_RESOURCES: usize = 7;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let resources = (0..N_RESOURCES)
-        .map(|i| {
-            let c = rng.gen_range(0.0..2.0);
-            ResourceSnapshot {
-                id: ResourceId(i as u32),
-                rtype: ResourceType::Lock,
-                contention: c,
-                normalized: c / 10.0,
-                weight: 1.0 / N_RESOURCES as f64,
-                wait_ns: 0,
-                hold_ns: 0,
-                acquired: 0,
-                slow_amount: 0,
-            }
-        })
-        .collect();
-    let tasks = (0..n_tasks)
-        .map(|i| {
-            let gains: Vec<f64> = (0..N_RESOURCES).map(|_| rng.gen_range(0.0..1.0)).collect();
-            TaskGainSnapshot {
-                task: TaskId(i as u64),
-                key: TaskKey(i as u64),
-                cancellable: true,
-                current: gains.clone(),
-                gains,
-                progress: Some(rng.gen_range(0.02..1.0)),
-            }
-        })
-        .collect();
-    EstimatorSnapshot {
-        resources,
-        tasks,
-        t_exec_ns: 1_000_000,
-    }
-}
 
 fn ns_per_iter(budget_ms: u64, mut f: impl FnMut()) -> f64 {
     criterion::measure_ns_per_iter(std::time::Duration::from_millis(budget_ms), &mut f)
 }
 
 #[test]
-fn multi_objective_within_ten_x_of_heuristic_at_1024() {
-    let snap = snapshot(1024, 7);
-    // Both selections must agree on the workload being non-trivial.
-    assert!(MultiObjectivePolicy.select(&snap).is_some());
-    assert!(HeuristicPolicy.select(&snap).is_some());
-
-    let mut best_ratio = f64::INFINITY;
-    let mut mo_best = f64::INFINITY;
-    let mut h_best = f64::INFINITY;
-    for _ in 0..ATTEMPTS {
-        let mo = ns_per_iter(BUDGET_MS, || {
-            black_box(MultiObjectivePolicy.select(black_box(&snap)));
-        });
-        let h = ns_per_iter(BUDGET_MS, || {
-            black_box(HeuristicPolicy.select(black_box(&snap)));
-        });
-        mo_best = mo_best.min(mo);
-        h_best = h_best.min(h);
-        best_ratio = best_ratio.min(mo / h);
-    }
-
-    if cfg!(debug_assertions) {
+fn indexed_selection_scales_linearly_from_1024_to_16384() {
+    let (small, large) = (IndexLoad::settled(1024), IndexLoad::settled(16384));
+    for (kind, name) in [
+        (PolicyKind::MultiObjective, "multi_objective"),
+        (PolicyKind::Heuristic, "heuristic"),
+        (PolicyKind::CurrentUsage, "current_usage"),
+    ] {
+        // Both sizes must have something to select.
+        assert!(small.index.select(kind).is_some() && large.index.select(kind).is_some());
+        let (mut best, mut small_ns, mut large_ns) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for _ in 0..ATTEMPTS {
+            let s = ns_per_iter(BUDGET_MS, || {
+                black_box(black_box(&small.index).select(kind));
+            });
+            let l = ns_per_iter(BUDGET_MS, || {
+                black_box(black_box(&large.index).select(kind));
+            });
+            small_ns = small_ns.min(s);
+            large_ns = large_ns.min(l);
+            best = best.min(l / s);
+        }
+        println!(
+            "policy_scaling {name} select/16384 {large_ns:.0} ns / select/1024 {small_ns:.0} ns \
+             = {best:.1}x"
+        );
         // Unoptimized builds measure rustc -O0, not the algorithm; keep a
         // loose sanity bound so the guard still runs the code.
+        let limit = if cfg!(debug_assertions) {
+            4.0 * MAX_RATIO
+        } else {
+            MAX_RATIO
+        };
         assert!(
-            best_ratio <= MAX_RATIO * 20.0,
-            "multi-objective unrecognizably slow even for a debug build: \
-             {mo_best:.0} ns/iter vs heuristic {h_best:.0} ns/iter"
+            best <= limit,
+            "{name}: select/16384 regressed to {large_ns:.0} ns/iter, {best:.1}x \
+             select/1024 ({small_ns:.0} ns/iter); limit is {limit:.0}x — did the \
+             selection path go quadratic?"
         );
-        return;
     }
-    assert!(
-        best_ratio <= MAX_RATIO,
-        "multi_objective/1024 regressed to {mo_best:.0} ns/iter, \
-         {best_ratio:.1}x heuristic/1024 ({h_best:.0} ns/iter); \
-         limit is {MAX_RATIO:.0}x — did the selection path go quadratic?"
-    );
 }

@@ -20,7 +20,7 @@ pub enum TickPhase {
     /// The overload detector's evaluation of the closed window.
     Detect,
     /// Parking steady tasks and, on a candidate tick, bringing the policy
-    /// index up to date (plus materializing the estimate for a recorder).
+    /// index up to date.
     Refresh,
     /// Algorithm 1 over the index, and the explanation pass when a
     /// recorder is attached.
@@ -57,6 +57,13 @@ impl TickPhase {
 /// (bucket 0 also holds zero).
 pub const PHASE_BUCKETS: usize = 64;
 
+/// The log2 bucket of `ns` among [`PHASE_BUCKETS`]: `floor(log2(ns))`,
+/// with zero in bucket 0. The one bucketing rule of every log2 latency
+/// histogram (the tick phases here, the time-to-cancel one in `obs`).
+pub fn log2_bucket(ns: u64) -> usize {
+    (u64::BITS - 1).saturating_sub(ns.leading_zeros()) as usize
+}
+
 /// Per-phase span histograms and sums since the runtime was built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TickPhases {
@@ -75,8 +82,7 @@ impl Default for TickPhases {
 
 impl TickPhases {
     pub(crate) fn record(&mut self, phase: TickPhase, ns: u64) {
-        let bucket = 63usize.saturating_sub(ns.leading_zeros() as usize);
-        self.buckets[phase as usize][bucket] += 1;
+        self.buckets[phase as usize][log2_bucket(ns)] += 1;
         self.sum_ns[phase as usize] += ns;
     }
 
@@ -127,6 +133,16 @@ impl PhaseTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn log2_bucket_edges() {
+        assert_eq!((log2_bucket(0), log2_bucket(1), log2_bucket(2)), (0, 0, 1));
+        for k in 1..64 {
+            assert_eq!(log2_bucket((1 << k) - 1), k - 1, "2^{k} - 1");
+            assert_eq!(log2_bucket(1 << k), k, "2^{k}");
+        }
+        assert_eq!(log2_bucket(u64::MAX), PHASE_BUCKETS - 1);
+    }
 
     #[test]
     fn spans_land_in_their_log2_bucket() {

@@ -30,13 +30,35 @@
 //! `Δ × holders` to the hold sum in closed form. Per-tick cost is
 //! O(visited · R), not O(n·R).
 //!
-//! Selection reuses the skyline arguments (see
-//! [`skyline`](super::skyline)): candidates are the union of postings
-//! lists over positive-weight resources — any task scoring > 0 has a
-//! positive raw gain on a positive-weight resource, so no winner is ever
-//! pruned — scored with the shared [`weighted_score`] term order and
-//! normalized with the shared division, which keeps results bit-identical
-//! to the naive oracle.
+//! Selection never runs the all-pairs dominance filter of the reference
+//! ([`select_naive`](super::select_naive)). Candidates are the union of
+//! postings lists over positive-weight resources: any task scoring > 0
+//! has a positive raw gain on a positive-weight resource, and gains and
+//! weights are non-negative, so if `b` dominates `a` then
+//! `score(b) ≥ score(a)` — a zero-score task can neither win nor dominate
+//! a positive-score one, and pruning it changes nothing. Two observations
+//! then make the filter unnecessary:
+//!
+//! 1. **The winner is the lowest-id maximum-score candidate that is not
+//!    dominated by another maximum-score candidate.** Any dominator of a
+//!    max-score candidate is itself max-score, so dominance checks outside
+//!    the max-score tie group can never evict a member of it, and the
+//!    scalarization maximum over the non-dominated set equals the maximum
+//!    over all candidates (a dominance chain in a finite set ends at a
+//!    non-dominated element). [`select`](PolicyIndex::select) is one
+//!    scoring pass plus a dominance check inside that (normally tiny)
+//!    group.
+//! 2. **For the full ranking, dominance checks are needed only against
+//!    higher-or-equal-score front members.** Walking candidates in score
+//!    order (descending, ids ascending within a tie), a candidate is in
+//!    the front iff no accepted member of an earlier score group and no
+//!    member of its own score group dominates it: a dominator chain is
+//!    transitive and ends at a front member scoring at least as high.
+//!    [`ranked`](PolicyIndex::ranked) is one sort plus that walk.
+//!
+//! Scores use the shared [`weighted_score`](super::weighted_score) term
+//! order and the shared normalizing division, so results are
+//! bit-identical to the reference.
 
 use super::{dominates, Selection};
 use crate::config::{AtroposConfig, PolicyKind};
@@ -343,8 +365,8 @@ impl PolicyIndex {
     }
 
     /// Evaluates the configured policy from the index. Bit-identical to
-    /// building an [`EstimatorSnapshot`] and running the corresponding
-    /// [`CancellationPolicy::select_naive`](super::CancellationPolicy::select_naive).
+    /// building an [`EstimatorSnapshot`] and running
+    /// [`select_naive`](super::select_naive) over it.
     pub fn select(&self, kind: PolicyKind) -> Option<Selection> {
         match kind {
             PolicyKind::MultiObjective => self.select_scalarized(true),
@@ -390,55 +412,99 @@ impl PolicyIndex {
             .collect()
     }
 
-    /// Algorithm 1 via the postings lists: candidates are the union over
-    /// positive-weight resources (a task scoring > 0 must have a positive
-    /// raw gain on a positive-weight resource, and zero-score tasks can
-    /// neither win nor dominate a positive-score task), then the skyline
-    /// max-score tie-group dominance check.
-    fn select_scalarized(&self, future: bool) -> Option<Selection> {
+    /// Calls `f` once per candidate of the scalarized policies with its
+    /// positive score: every cancellable slot in the union of the
+    /// positive-weight resources' postings (observation 1 of the module
+    /// docs: no other task can score > 0).
+    fn for_each_candidate<'a>(&'a self, future: bool, mut f: impl FnMut(&'a Slot, f64)) {
         let mut seen: IdSet<u32> = IdSet::default();
-        let mut max = f64::NEG_INFINITY;
-        let mut group: Vec<u32> = Vec::new();
-        for r in &self.resources {
-            if r.weight <= 0.0 {
-                continue;
-            }
+        for r in self.resources.iter().filter(|r| r.weight > 0.0) {
             for &s in &self.postings[r.id.index()] {
                 if !seen.insert(s) {
                     continue;
                 }
                 let slot = self.slots[s as usize].as_ref().expect("posted slot");
-                if !slot.terms.cancellable {
-                    continue;
-                }
-                let score = self.score_slot(slot, future);
-                if score > max {
-                    max = score;
-                    group.clear();
-                    group.push(s);
-                } else if score == max {
-                    group.push(s);
+                if slot.terms.cancellable {
+                    let score = self.score_slot(slot, future);
+                    if score > 0.0 {
+                        f(slot, score);
+                    }
                 }
             }
         }
-        if max <= 0.0 {
-            return None;
-        }
-        group.sort_by_key(|&s| self.slots[s as usize].as_ref().expect("live slot").task);
-        let gains: Vec<Vec<f64>> = group
-            .iter()
-            .map(|&s| self.normalized(self.slots[s as usize].as_ref().expect("live slot"), future))
-            .collect();
-        let pos = (0..group.len())
-            .find(|&gi| !(0..group.len()).any(|gj| gj != gi && dominates(&gains[gj], &gains[gi])))
-            // A finite group always has a dominance-maximal element.
-            .unwrap_or(0);
-        let slot = self.slots[group[pos] as usize].as_ref().expect("live slot");
+    }
+
+    /// Algorithm 1 via the postings lists: the max-score tie group, then
+    /// its lowest-id member no other member dominates.
+    fn select_scalarized(&self, future: bool) -> Option<Selection> {
+        let mut max = 0.0;
+        let mut group: Vec<&Slot> = Vec::new();
+        self.for_each_candidate(future, |slot, score| {
+            if score > max {
+                max = score;
+                group.clear();
+            }
+            if score == max {
+                group.push(slot);
+            }
+        });
+        group.sort_by_key(|slot| slot.task);
+        let gains: Vec<Vec<f64>> = group.iter().map(|s| self.normalized(s, future)).collect();
+        let pos = (0..group.len()).find(|&gi| {
+            !(0..group.len()).any(|gj| gj != gi && dominates(&gains[gj], &gains[gi]))
+        })?;
         Some(Selection {
-            task: slot.task,
-            key: slot.terms.key,
+            task: group[pos].task,
+            key: group[pos].terms.key,
             score: max,
         })
+    }
+
+    /// The full non-dominated ranking of the multi-objective policy, best
+    /// first, ties toward the lowest task id: the decision trace's
+    /// explanation of why the winner won, so its head is
+    /// [`select`](PolicyIndex::select)`(MultiObjective)`. Candidates are
+    /// sorted by (score desc, task id asc) and walked group by group
+    /// (observation 2 of the module docs); each costs a dominance check
+    /// against the front so far. Bit-identical to
+    /// [`ranked_naive`](super::ranked_naive) over the materialized snapshot.
+    pub fn ranked(&self) -> Vec<Selection> {
+        let mut cands: Vec<(&Slot, f64)> = Vec::new();
+        self.for_each_candidate(true, |slot, score| cands.push((slot, score)));
+        // Scores are finite and ids unique: a total order.
+        cands.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.0.task.cmp(&b.0.task))
+        });
+        let gains: Vec<Vec<f64>> = cands.iter().map(|c| self.normalized(c.0, true)).collect();
+        let mut front: Vec<usize> = Vec::new();
+        let mut out = Vec::new();
+        let mut start = 0;
+        while start < cands.len() {
+            let score = cands[start].1;
+            let end = start + cands[start..].iter().take_while(|c| c.1 == score).count();
+            // An equal-score group is one unit: whether a member is
+            // accepted must not depend on the order inside the group.
+            let prior = front.len();
+            for i in start..end {
+                let dominated = front[..prior]
+                    .iter()
+                    .copied()
+                    .chain(start..end)
+                    .any(|j| j != i && dominates(&gains[j], &gains[i]));
+                if !dominated {
+                    front.push(i);
+                    out.push(Selection {
+                        task: cands[i].0.task,
+                        key: cands[i].0.terms.key,
+                        score,
+                    });
+                }
+            }
+            start = end;
+        }
+        out
     }
 
     /// The §5.4 greedy baseline via the hottest resource's postings list.
@@ -490,10 +556,9 @@ impl PolicyIndex {
     }
 
     /// Materializes the full [`EstimatorSnapshot`] (tasks in slot order)
-    /// for observers — the recorder, `last_estimate`, the chaos checker —
-    /// into `out`, overwriting whatever it held and reusing its buffers.
-    /// O(active tasks · R), parked ones included: nothing on the decision
-    /// path calls this. Equal to a fresh [`estimate`](crate::estimator::estimate)
+    /// for `last_estimate()` into `out`, overwriting whatever it held and
+    /// reusing its buffers. O(active tasks · R), parked ones included:
+    /// `tick()` never calls this. Equal to a fresh [`estimate`](crate::estimator::estimate)
     /// when read right after [`settle`](PolicyIndex::settle); later, the
     /// slots that parking updated since show their newer window.
     pub fn materialize(&mut self, out: &mut EstimatorSnapshot) {
@@ -528,6 +593,7 @@ mod tests {
     use crate::estimator::estimate;
     use crate::ids::ResourceType;
     use crate::policy::testutil::canon;
+    use crate::policy::{gain_terms, ranked_naive, select_naive, weighted_score};
     use crate::task::TaskTable;
     use proptest::prelude::*;
 
@@ -622,9 +688,10 @@ mod tests {
         /// A candidate tick: the settled index must agree with a fresh
         /// batch estimate of the eager records — per-resource sums
         /// (`hold_ns` with its closed-form share) and per-task gains —
-        /// and all three policies' selections must be bit-identical to
-        /// the naive oracle on that estimate.
-        fn tick(&mut self, now: u64) {
+        /// and all three policies' selections, the ranking and the gain
+        /// terms must be bit-identical to the reference on that estimate,
+        /// which is returned.
+        fn tick(&mut self, now: u64) -> EstimatorSnapshot {
             for t in self.eager.values_mut() {
                 t.roll_window(now);
             }
@@ -636,18 +703,32 @@ mod tests {
             let mut materialized = EstimatorSnapshot::default();
             self.index.materialize(&mut materialized);
             assert_eq!(canon(materialized), canon(fresh.clone()));
+            let ranked = self.index.ranked();
+            assert_eq!(ranked, ranked_naive(&fresh));
+            assert_eq!(
+                self.index.select(PolicyKind::MultiObjective),
+                ranked.first().copied()
+            );
             for kind in KINDS {
-                let naive = kind.build().select_naive(&fresh);
+                let naive = select_naive(kind, &fresh);
                 assert_eq!(self.index.select(kind), naive, "kind {kind:?}");
                 if let Some(sel) = naive {
                     assert_eq!(
                         self.index.gain_terms(sel.task),
-                        crate::policy::gain_terms(&fresh, sel.task),
+                        gain_terms(&fresh, sel.task),
                         "gain terms for {:?}",
                         sel.task
                     );
                 }
             }
+            fresh
+        }
+
+        /// The multi-objective pick and ranking, as task ids.
+        fn decision(&self) -> (Option<u64>, Vec<u64>) {
+            let pick = self.index.select(PolicyKind::MultiObjective);
+            let ranked = self.index.ranked().iter().map(|s| s.task.0).collect();
+            (pick.map(|s| s.task.0), ranked)
         }
 
         /// The other catch-up point: with every parked record caught up,
@@ -808,6 +889,70 @@ mod tests {
         ls.assert_records_caught_up();
     }
 
+    /// Pool (MEMORY) contention from one eviction and a LOCK nobody waits
+    /// on: the lock's weight is zero, so a task's lock hold adds nothing
+    /// to its score but still counts for dominance. `pages` and `lock_from`
+    /// (hold start, of a 1000 ns window) per task id.
+    fn pool_and_idle_lock(tasks: &[(u64, u64, Option<u64>)]) -> Lockstep {
+        let mut ls = Lockstep::new(0);
+        for &(id, pages, lock_from) in tasks {
+            ls.create(id);
+            ls.apply(id, |t| {
+                t.usage[0].on_get(0, pages);
+                if let Some(from) = lock_from {
+                    t.usage[1].on_get(from, 1);
+                }
+            });
+        }
+        ls.create(EVICTOR);
+        evict(&mut ls, 0);
+        ls.tick(1000);
+        ls
+    }
+
+    const EVICTOR: u64 = 99;
+
+    /// One eviction in the window starting at `at`, by a task that ends
+    /// it holding nothing.
+    fn evict(ls: &mut Lockstep, at: u64) {
+        ls.apply(EVICTOR, |t| {
+            t.usage[0].on_get(at, 1);
+            t.usage[0].on_slow(at + 10, 1);
+            t.usage[0].on_get(at + 20, 0);
+            t.usage[0].on_free(at + 30, 1);
+        });
+    }
+
+    #[test]
+    fn max_score_tie_group_still_checks_dominance() {
+        // Tasks 1 and 2 tie on score, but 2 also holds the idle lock and
+        // so dominates 1: the bare argmax (lowest id) would pick task 1.
+        let ls = pool_and_idle_lock(&[(1, 1, None), (2, 1, Some(0))]);
+        assert_eq!(ls.decision(), (Some(2), vec![2]));
+    }
+
+    #[test]
+    fn same_score_group_members_can_evict_each_other_in_ranking() {
+        // 1 and 2 tie on score and 2 dominates 1; 3 scores lower but holds
+        // the lock longest, so nothing dominates it.
+        let ls = pool_and_idle_lock(&[(1, 2, None), (2, 2, Some(500)), (3, 1, Some(0))]);
+        assert_eq!(ls.decision(), (Some(2), vec![2, 3]));
+    }
+
+    #[test]
+    fn zero_score_and_non_cancellable_tasks_neither_win_nor_dominate() {
+        // A gain on the zero-weight lock alone scores zero: no candidate.
+        let ls = pool_and_idle_lock(&[(1, 0, Some(0))]);
+        assert_eq!(ls.decision(), (None, vec![]));
+        // Task 9 dominates task 1 but may not be cancelled, so it is no
+        // candidate and must not evict task 1 from the front.
+        let mut ls = pool_and_idle_lock(&[(1, 1, None), (9, 2, None)]);
+        ls.apply(9, |t| t.cancellable = false);
+        evict(&mut ls, 1000);
+        ls.tick(2000);
+        assert_eq!(ls.decision(), (Some(1), vec![1]));
+    }
+
     /// One step of the random delta stream the incremental-vs-rebuild
     /// property drives, mirroring the runtime's hook points exactly.
     #[derive(Debug, Clone)]
@@ -855,55 +1000,145 @@ mod tests {
         ]
     }
 
+    /// The tie-heavy mix: a pool (MEMORY) under eviction pressure where
+    /// every task pins 1, 2 or 4 pages — a re-pin releases what it held
+    /// and stalls on an eviction before it acquires — plus holds of a lock
+    /// nobody waits on (zero weight, so a hold changes dominance but not
+    /// the score) and no progress reports (every task keeps the default
+    /// multiplier). Equal scores, and dominance inside them, are common.
+    fn lattice_step_strategy() -> impl Strategy<Value = Vec<Op>> {
+        let id = || 0u64..4;
+        let repin = || {
+            (id(), 0u32..3).prop_map(|(t, e)| {
+                vec![Op::Free(t, 0, 4), Op::Slow(t, 0, 1), Op::Get(t, 0, 1 << e)]
+            })
+        };
+        prop_oneof![
+            id().prop_map(|t| vec![Op::Create(t)]),
+            id().prop_map(|t| vec![Op::Create(t)]),
+            id().prop_map(|t| vec![Op::Remove(t)]),
+            repin(),
+            repin(),
+            repin(),
+            repin(),
+            id().prop_map(|t| vec![Op::Free(t, 0, 4)]),
+            id().prop_map(|t| vec![Op::Get(t, 1, 1)]),
+            id().prop_map(|t| vec![Op::Free(t, 1, 1)]),
+            (id(), 0u32..4).prop_map(|(t, c)| vec![Op::SetCancellable(t, c > 0)]),
+            Just(vec![Op::Tick]),
+            Just(vec![Op::Tick]),
+            Just(vec![Op::IdleTick]),
+        ]
+    }
+
+    /// A delta stream: the general mix or the tie-heavy one.
+    fn stream_strategy(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Op>> {
+        prop_oneof![
+            prop::collection::vec(op_strategy(), len.clone()),
+            prop::collection::vec(lattice_step_strategy(), len).prop_map(|s| s.concat()),
+        ]
+    }
+
+    /// Applies one op at `now` (advanced by 7 ns first); a candidate tick
+    /// returns the fresh estimate it was checked against.
+    fn step(ls: &mut Lockstep, clock: &mut u64, op: Op) -> Option<EstimatorSnapshot> {
+        *clock += 7;
+        let now = *clock;
+        let usage = |r: usize, f: fn(&mut crate::accounting::UsageStats, u64, u64), a: u64| {
+            move |t: &mut TaskRecord| {
+                if r < t.usage.len() {
+                    f(&mut t.usage[r], now, a);
+                }
+            }
+        };
+        match op {
+            Op::Create(id) => ls.create(id),
+            Op::Remove(id) => ls.remove(id),
+            Op::Get(id, r, a) => ls.apply(id, usage(r, |u, now, a| u.on_get(now, a), a)),
+            Op::Free(id, r, a) => ls.apply(id, usage(r, |u, now, a| u.on_free(now, a), a)),
+            Op::Slow(id, r, a) => ls.apply(id, usage(r, |u, now, a| u.on_slow(now, a), a)),
+            Op::UnitStart(id) => ls.apply(id, |t| t.on_unit_start(now)),
+            Op::UnitFinish(id) => ls.apply(id, |t| {
+                t.on_unit_finish(now);
+            }),
+            Op::Progress(id, p) => ls.apply(id, |t| t.progress.report(p, 100)),
+            Op::SetCancellable(id, c) => ls.apply(id, |t| t.cancellable = c),
+            Op::RegisterResource => {
+                if ls.reg.len() < 4 {
+                    ls.register();
+                }
+            }
+            Op::Advance(ns) => *clock += ns,
+            Op::Tick => return Some(ls.tick(now)),
+            Op::IdleTick => ls.idle_tick(now),
+        }
+        None
+    }
+
     proptest! {
         /// Incremental-vs-rebuild property: after any delta stream — ticks
         /// at jittered periods, tasks parking between them and being
         /// touched, retired or re-registered while parked — the index's
         /// materialized snapshot equals a fresh batch estimate of the
-        /// eagerly rolled records, every policy's indexed selection is
-        /// bit-identical to the naive oracle on that fresh snapshot, and
-        /// every record, once caught up, equals its eager twin.
+        /// eagerly rolled records, every policy's indexed selection and
+        /// the ranking are bit-identical to the reference on that fresh
+        /// snapshot, and every record, once caught up, equals its eager
+        /// twin.
         #[test]
-        fn delta_stream_matches_fresh_build(
-            ops in prop::collection::vec(op_strategy(), 0..300),
-        ) {
+        fn delta_stream_matches_fresh_build(ops in stream_strategy(0..300)) {
             let mut ls = Lockstep::new(0);
             let mut now = 0u64;
             for op in ops {
-                now += 7;
-                let usage = |r: usize, f: fn(&mut crate::accounting::UsageStats, u64, u64), a: u64| {
-                    move |t: &mut TaskRecord| {
-                        if r < t.usage.len() {
-                            f(&mut t.usage[r], now, a);
-                        }
-                    }
-                };
-                match op {
-                    Op::Create(id) => ls.create(id),
-                    Op::Remove(id) => ls.remove(id),
-                    Op::Get(id, r, a) => ls.apply(id, usage(r, |u, now, a| u.on_get(now, a), a)),
-                    Op::Free(id, r, a) => ls.apply(id, usage(r, |u, now, a| u.on_free(now, a), a)),
-                    Op::Slow(id, r, a) => ls.apply(id, usage(r, |u, now, a| u.on_slow(now, a), a)),
-                    Op::UnitStart(id) => ls.apply(id, |t| t.on_unit_start(now)),
-                    Op::UnitFinish(id) => ls.apply(id, |t| {
-                        t.on_unit_finish(now);
-                    }),
-                    Op::Progress(id, p) => ls.apply(id, |t| t.progress.report(p, 100)),
-                    Op::SetCancellable(id, c) => ls.apply(id, |t| t.cancellable = c),
-                    Op::RegisterResource => {
-                        if ls.reg.len() < 4 {
-                            ls.register();
-                        }
-                    }
-                    Op::Advance(ns) => now += ns,
-                    Op::Tick => ls.tick(now),
-                    Op::IdleTick => ls.idle_tick(now),
-                }
+                step(&mut ls, &mut now, op);
             }
             // Final tick so every stream ends with a comparison.
             ls.tick(now + 7);
             ls.assert_records_caught_up();
         }
+    }
+
+    /// Whether Algorithm 1's winner on `s` is decided by dominance: the
+    /// max-score tie group has two or more members and its lowest id is
+    /// dominated by another one, so the bare argmax would be wrong.
+    fn dominance_decides(s: &EstimatorSnapshot) -> bool {
+        let scored: Vec<(f64, &TaskGainSnapshot)> = s
+            .tasks
+            .iter()
+            .filter(|t| t.cancellable)
+            .map(|t| (weighted_score(&s.resources, &t.gains), t))
+            .collect();
+        let max = scored.iter().map(|c| c.0).fold(0.0, f64::max);
+        let mut group: Vec<&TaskGainSnapshot> = scored
+            .iter()
+            .filter(|c| max > 0.0 && c.0 == max)
+            .map(|c| c.1)
+            .collect();
+        group.sort_by_key(|t| t.task);
+        group.len() >= 2
+            && group[1..]
+                .iter()
+                .any(|b| dominates(&b.gains, &group[0].gains))
+    }
+
+    /// The equivalence property catches a selection that skips the
+    /// dominance check only if its streams reach ticks where dominance
+    /// picks the winner among equal scores; the tie-heavy mix must.
+    #[test]
+    fn delta_streams_reach_ticks_where_dominance_decides() {
+        let mut rng = proptest::TestRng::deterministic("index_ties");
+        let strategy = stream_strategy(160..161);
+        let (mut ticks, mut decided) = (0, 0);
+        for _ in 0..128 {
+            let mut ls = Lockstep::new(0);
+            let mut now = 0u64;
+            for op in strategy.sample(&mut rng) {
+                if let Some(fresh) = step(&mut ls, &mut now, op) {
+                    ticks += 1;
+                    decided += usize::from(dominance_decides(&fresh));
+                }
+            }
+        }
+        assert!(decided >= 20, "{decided} of {ticks} candidate ticks");
     }
 
     /// The property is only as strong as the streams it samples: they

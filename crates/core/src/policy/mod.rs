@@ -1,38 +1,27 @@
 //! Cancellation policies (§3.5, ablated in §5.4).
 //!
-//! Given an [`EstimatorSnapshot`], a policy selects the single task whose
-//! cancellation is expected to yield the largest overall performance
-//! benefit. Three policies are provided:
+//! A policy selects the single task whose cancellation is expected to
+//! yield the largest overall performance benefit. [`PolicyKind`] names the
+//! three this crate evaluates:
 //!
-//! - [`MultiObjectivePolicy`] — the paper's Algorithm 1: restrict to the
+//! - `MultiObjective` — the paper's Algorithm 1: restrict to the
 //!   non-dominated set, then scalarize with contention-level weights,
-//! - [`HeuristicPolicy`] — §5.4 baseline 1: greatest gain on the single
-//!   most contended resource,
-//! - [`CurrentUsagePolicy`] — §5.4 baseline 2: multi-objective over
-//!   *current* usage instead of future-scaled gain.
+//! - `Heuristic` — §5.4 baseline 1: greatest gain on the single most
+//!   contended resource,
+//! - `CurrentUsage` — §5.4 baseline 2: Algorithm 1 over *current* usage
+//!   instead of future-scaled gain.
 //!
-//! The multi-objective policies carry two implementations each. The
-//! literal transcription of Algorithm 1 — materialize the candidate set,
-//! run the all-pairs non-dominated filter, scalarize — is O(n²) in the
-//! candidate count and is kept as [`CancellationPolicy::select_naive`],
-//! the differential oracle. The production path
-//! ([`CancellationPolicy::select`]) uses the sort-based skyline in
-//! [`skyline`], which returns the same `Selection` bit-for-bit (same
-//! winner, same tie-breaks, same f64 score) in O(n·R) for the common
-//! case. [`PolicyIndex`] goes one step further and evaluates the same
-//! decision from incrementally maintained per-task terms, without
-//! rebuilding the snapshot at all.
+//! The tick decides, and explains its decision, from the incrementally
+//! maintained [`PolicyIndex`]. The plain functions here are the reference
+//! it is proven against: [`select_naive`], [`ranked_naive`] and
+//! [`gain_terms`] are the literal transcription of Algorithm 1 over an
+//! [`EstimatorSnapshot`] — materialize the candidate set, run the
+//! all-pairs non-dominated filter, scalarize — O(n²) in the candidate
+//! count and selected by no runtime configuration.
 
-mod current_usage;
-mod heuristic;
 mod index;
-mod multi_objective;
-mod skyline;
 
-pub use current_usage::CurrentUsagePolicy;
-pub use heuristic::HeuristicPolicy;
 pub use index::PolicyIndex;
-pub use multi_objective::MultiObjectivePolicy;
 
 use crate::config::PolicyKind;
 use crate::estimator::{EstimatorSnapshot, ResourceSnapshot, TaskGainSnapshot};
@@ -48,35 +37,6 @@ pub struct Selection {
     pub key: TaskKey,
     /// The scalarized score that won.
     pub score: f64,
-}
-
-/// A cancellation policy.
-pub trait CancellationPolicy: Send + Sync {
-    /// Selects the optimal task to cancel, or `None` if no cancellable
-    /// task offers any gain.
-    fn select(&self, snapshot: &EstimatorSnapshot) -> Option<Selection>;
-
-    /// The reference (naive) evaluation of the same decision. Policies
-    /// with an optimized `select` override this with the literal
-    /// Algorithm-1 transcription; the two must agree bit-for-bit on every
-    /// snapshot, which the proptest oracle-differential suite enforces.
-    fn select_naive(&self, snapshot: &EstimatorSnapshot) -> Option<Selection> {
-        self.select(snapshot)
-    }
-
-    /// Human-readable policy name for experiment output.
-    fn name(&self) -> &'static str;
-}
-
-impl PolicyKind {
-    /// Instantiates the configured policy.
-    pub fn build(self) -> Box<dyn CancellationPolicy> {
-        match self {
-            PolicyKind::MultiObjective => Box::new(MultiObjectivePolicy),
-            PolicyKind::Heuristic => Box::new(HeuristicPolicy),
-            PolicyKind::CurrentUsage => Box::new(CurrentUsagePolicy),
-        }
-    }
 }
 
 /// True if `b` dominates `a` under the given gain vectors: `b` is no worse
@@ -111,16 +71,15 @@ pub(crate) fn weighted_terms<'a>(
 }
 
 /// Algorithm 1's scalarized score: `Σ_r weight_r × gain_r`, summed in
-/// resource-id order. Every scorer goes through this helper, which pins
-/// the f64 evaluation order — and therefore the exact rounding — across
-/// the naive path, the skyline path, and the [`PolicyIndex`].
+/// resource-id order. The reference and the [`PolicyIndex`] both sum in
+/// this order, which pins the exact f64 rounding across the two.
 pub(crate) fn weighted_score(resources: &[ResourceSnapshot], g: &[f64]) -> f64 {
     weighted_terms(resources, g).map(|t| t.contribution()).sum()
 }
 
 /// Candidate filter shared by all policies: cancellable tasks with a
 /// positive gain on at least one resource.
-pub(crate) fn candidates(
+fn candidates(
     snapshot: &EstimatorSnapshot,
     gains: impl Fn(&TaskGainSnapshot) -> &[f64] + Copy,
 ) -> Vec<&TaskGainSnapshot> {
@@ -132,7 +91,7 @@ pub(crate) fn candidates(
 }
 
 /// Algorithm 1 lines 2–10: the non-dominated (dominator) set.
-pub(crate) fn non_dominated<'a>(
+fn non_dominated<'a>(
     cands: &[&'a TaskGainSnapshot],
     gains: impl Fn(&TaskGainSnapshot) -> &[f64] + Copy,
 ) -> Vec<&'a TaskGainSnapshot> {
@@ -143,15 +102,25 @@ pub(crate) fn non_dominated<'a>(
         .collect()
 }
 
-/// Algorithm 1 lines 12–20: contention-weighted scalarization; ties break
-/// toward the lowest task id for determinism.
-pub(crate) fn scalarize(
+/// The reference evaluation of `kind` over a materialized snapshot: what
+/// [`PolicyIndex::select`] must return, bit for bit, on the same state.
+pub fn select_naive(kind: PolicyKind, snapshot: &EstimatorSnapshot) -> Option<Selection> {
+    match kind {
+        PolicyKind::MultiObjective => scalarize(snapshot, |t| &t.gains),
+        PolicyKind::CurrentUsage => scalarize(snapshot, |t| &t.current),
+        PolicyKind::Heuristic => heuristic(snapshot),
+    }
+}
+
+/// Algorithm 1 over the gain vectors `gains` picks: the non-dominated set
+/// (lines 2–10), then contention-weighted scalarization (lines 12–20);
+/// ties break toward the lowest task id.
+fn scalarize(
     snapshot: &EstimatorSnapshot,
-    set: &[&TaskGainSnapshot],
     gains: impl Fn(&TaskGainSnapshot) -> &[f64] + Copy,
 ) -> Option<Selection> {
     let mut best: Option<Selection> = None;
-    for t in set {
+    for t in non_dominated(&candidates(snapshot, gains), gains) {
         let total = weighted_score(&snapshot.resources, gains(t));
         let better = match &best {
             None => true,
@@ -168,20 +137,42 @@ pub(crate) fn scalarize(
     best.filter(|s| s.score > 0.0)
 }
 
-/// The full non-dominated candidate ranking under Algorithm 1's
-/// scalarization, best first; ties break toward the lowest task id.
-/// Used by the decision-trace layer to explain *why* the winner won —
-/// the tick path only computes this when a recorder is attached.
-///
-/// Computed with the sort-based skyline; bit-identical to
-/// [`ranked_naive`].
-pub fn ranked(snapshot: &EstimatorSnapshot) -> Vec<Selection> {
-    skyline::ranked_fast(snapshot, |t| &t.gains)
+/// The §5.4 greedy baseline: `r* = argmax_r Contention(r)`, then
+/// `t* = argmax_t Gain(t, r*)`. It converges to locally optimal decisions
+/// when overload spans multiple resources (Figure 13).
+fn heuristic(snapshot: &EstimatorSnapshot) -> Option<Selection> {
+    let hottest = snapshot
+        .resources
+        .iter()
+        .filter(|r| r.normalized > 0.0)
+        .max_by(|a, b| {
+            a.normalized
+                .partial_cmp(&b.normalized)
+                .expect("contention is finite")
+        })?;
+    let idx = hottest.id.index();
+    let mut best: Option<Selection> = None;
+    for t in candidates(snapshot, |t| &t.gains) {
+        let g = t.gains.get(idx).copied().unwrap_or(0.0);
+        let better = match &best {
+            None => g > 0.0,
+            Some(b) => g > b.score || (g == b.score && t.task < b.task),
+        };
+        if better {
+            best = Some(Selection {
+                task: t.task,
+                key: t.key,
+                score: g,
+            });
+        }
+    }
+    best
 }
 
-/// Reference implementation of [`ranked`]: materialize candidates, run
-/// the all-pairs non-dominated filter, score, sort. O(n²) in the
-/// candidate count; kept as the differential oracle for the skyline.
+/// The full non-dominated candidate ranking under Algorithm 1's
+/// scalarization, best first; ties break toward the lowest task id. The
+/// reference for [`PolicyIndex::ranked`]: materialize candidates, run the
+/// all-pairs non-dominated filter, score, sort.
 pub fn ranked_naive(snapshot: &EstimatorSnapshot) -> Vec<Selection> {
     fn gains(t: &TaskGainSnapshot) -> &[f64] {
         &t.gains
@@ -210,9 +201,8 @@ pub fn ranked_naive(snapshot: &EstimatorSnapshot) -> Vec<Selection> {
 /// [`MAX_GAIN_TERMS`] `weight × gain` terms, highest contribution first
 /// (terms with zero contribution are omitted). Unused slots are `None`.
 ///
-/// Resolves the task with a linear scan of the snapshot; callers holding
-/// a [`PolicyIndex`] should use [`PolicyIndex::gain_terms`], which
-/// resolves through the task→slot map instead.
+/// The reference for [`PolicyIndex::gain_terms`], which resolves the task
+/// through its task→slot map instead of this linear scan.
 pub fn gain_terms(
     snapshot: &EstimatorSnapshot,
     task: TaskId,
@@ -296,7 +286,14 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
+    use super::testutil::snapshot;
     use super::*;
+
+    const MO: PolicyKind = PolicyKind::MultiObjective;
+
+    fn pick(kind: PolicyKind, snap: &EstimatorSnapshot) -> Option<u64> {
+        select_naive(kind, snap).map(|s| s.task.0)
+    }
 
     #[test]
     fn dominates_requires_strict_improvement() {
@@ -308,7 +305,7 @@ mod tests {
 
     #[test]
     fn non_dominated_set_keeps_pareto_front() {
-        let snap = testutil::snapshot(
+        let snap = snapshot(
             &[0.5, 0.5],
             &[
                 (1, &[3.0, 0.0][..]),
@@ -324,44 +321,92 @@ mod tests {
     }
 
     #[test]
-    fn scalarize_matches_paper_example() {
+    fn multi_objective_matches_paper_example() {
         // §3.5: C_mem = 0.6, C_lock = 0.4; task A = (3, 1), task B = (2, 2);
         // A scores 2.2, B scores 2.0 → A wins.
-        let snap = testutil::snapshot(&[0.6, 0.4], &[(1, &[3.0, 1.0][..]), (2, &[2.0, 2.0][..])]);
-        let cands = candidates(&snap, |t| &t.gains);
-        let sel = scalarize(&snap, &cands, |t| &t.gains).unwrap();
+        let snap = snapshot(&[0.6, 0.4], &[(1, &[3.0, 1.0][..]), (2, &[2.0, 2.0][..])]);
+        let sel = select_naive(MO, &snap).unwrap();
         assert_eq!(sel.task, TaskId(1));
         assert!((sel.score - 2.2).abs() < 1e-9);
+        // Weighting the other resource flips the choice.
+        let lock_heavy = snapshot(&[0.2, 0.8], &[(1, &[3.0, 1.0][..]), (2, &[2.0, 2.0][..])]);
+        assert_eq!(pick(MO, &lock_heavy), Some(2));
     }
 
     #[test]
-    fn scalarize_tie_breaks_deterministically() {
-        let snap = testutil::snapshot(&[1.0], &[(7, &[1.0][..]), (3, &[1.0][..])]);
-        let cands = candidates(&snap, |t| &t.gains);
-        let sel = scalarize(&snap, &cands, |t| &t.gains).unwrap();
-        assert_eq!(sel.task, TaskId(3));
+    fn dominated_task_never_wins_even_with_odd_weights() {
+        // Task 3 is dominated by task 2 and must not be selected under any
+        // weighting: with weights (0, 1) it would otherwise tie-break in.
+        let snap = snapshot(&[0.0, 1.0], &[(2, &[2.0, 2.0][..]), (3, &[1.0, 1.9][..])]);
+        assert_eq!(pick(MO, &snap), Some(2));
+        let snap = snapshot(&[0.0, 1.0], &[(2, &[2.0, 1.0][..]), (1, &[1.0, 1.0][..])]);
+        assert_eq!(
+            pick(MO, &snap),
+            Some(2),
+            "a dominated lower id loses the tie"
+        );
+    }
+
+    #[test]
+    fn heuristic_misses_the_global_optimum_by_design() {
+        // Two nearly equally hot resources; task 2 has gain on both, task 1
+        // only on the hottest. The heuristic takes task 1 because its
+        // single-resource gain is larger; Algorithm 1 takes task 2.
+        let snap = snapshot(&[0.51, 0.49], &[(1, &[3.0, 0.0][..]), (2, &[2.0, 2.0][..])]);
+        assert_eq!(pick(PolicyKind::Heuristic, &snap), Some(1));
+        assert_eq!(pick(MO, &snap), Some(2));
+        // And it looks at nothing but the hottest resource.
+        let snap = snapshot(&[0.3, 0.7], &[(1, &[9.0, 0.0][..]), (2, &[0.1, 1.0][..])]);
+        assert_eq!(pick(PolicyKind::Heuristic, &snap), Some(2));
+        let cold = snapshot(&[0.0, 0.0], &[(1, &[1.0, 1.0][..])]);
+        assert_eq!(pick(PolicyKind::Heuristic, &cold), None);
+        let nothing_on_the_hot_one = snapshot(&[0.0, 1.0], &[(1, &[5.0, 0.0][..])]);
+        assert_eq!(pick(PolicyKind::Heuristic, &nothing_on_the_hot_one), None);
+    }
+
+    #[test]
+    fn current_usage_reads_current_vectors_not_future_gains() {
+        let mut snap = snapshot(&[1.0], &[(1, &[0.1][..]), (2, &[1.0][..])]);
+        snap.tasks[0].current = vec![1.0];
+        snap.tasks[1].current = vec![0.1];
+        assert_eq!(pick(MO, &snap), Some(2));
+        assert_eq!(pick(PolicyKind::CurrentUsage, &snap), Some(1));
+    }
+
+    #[test]
+    fn ties_go_to_the_lowest_id() {
+        let snap = snapshot(&[1.0], &[(7, &[1.0][..]), (3, &[1.0][..])]);
+        for kind in [MO, PolicyKind::Heuristic, PolicyKind::CurrentUsage] {
+            assert_eq!(pick(kind, &snap), Some(3), "{kind:?}");
+        }
     }
 
     #[test]
     fn zero_score_yields_none() {
-        let snap = testutil::snapshot(&[0.0], &[(1, &[1.0][..])]);
-        let cands = candidates(&snap, |t| &t.gains);
-        assert!(scalarize(&snap, &cands, |t| &t.gains).is_none());
+        let snap = snapshot(&[0.0, 1.0], &[(1, &[1.0, 0.0][..])]);
+        assert_eq!(pick(MO, &snap), None);
+        assert!(ranked_naive(&snap).is_empty());
+        for kind in [MO, PolicyKind::CurrentUsage] {
+            assert_eq!(pick(kind, &snapshot(&[1.0], &[])), None);
+            assert_eq!(pick(kind, &snapshot(&[1.0], &[(1, &[0.0][..])])), None);
+        }
     }
 
     #[test]
     fn non_cancellable_tasks_are_filtered() {
-        let mut snap = testutil::snapshot(&[1.0], &[(1, &[5.0][..]), (2, &[1.0][..])]);
+        let mut snap = snapshot(&[1.0], &[(1, &[5.0][..]), (2, &[1.0][..])]);
         snap.tasks[0].cancellable = false;
-        let cands = candidates(&snap, |t| &t.gains);
-        assert_eq!(cands.len(), 1);
-        assert_eq!(cands[0].task, TaskId(2));
+        for kind in [MO, PolicyKind::Heuristic, PolicyKind::CurrentUsage] {
+            assert_eq!(pick(kind, &snap), Some(2), "{kind:?}");
+        }
+        snap.tasks[1].cancellable = false;
+        assert_eq!(pick(MO, &snap), None);
     }
 
     #[test]
     fn ranked_orders_non_dominated_candidates_by_score() {
         // §3.5 example plus a dominated task that must not appear.
-        let snap = testutil::snapshot(
+        let snap = snapshot(
             &[0.6, 0.4],
             &[
                 (1, &[3.0, 1.0][..]), // 2.2
@@ -369,21 +414,16 @@ mod tests {
                 (3, &[1.0, 1.0][..]), // dominated by 2
             ],
         );
-        let r = ranked(&snap);
+        let r = ranked_naive(&snap);
         let ids: Vec<u64> = r.iter().map(|s| s.task.0).collect();
         assert_eq!(ids, vec![1, 2]);
         assert!(r[0].score > r[1].score);
-        // The top of the ranking must agree with the policy's pick.
-        let sel = MultiObjectivePolicy.select(&snap).unwrap();
-        assert_eq!(sel.task, r[0].task);
-        assert_eq!(sel.score, r[0].score);
-        // And the skyline ranking must agree with the naive oracle.
-        assert_eq!(r, ranked_naive(&snap));
+        assert_eq!(select_naive(MO, &snap), Some(r[0]));
     }
 
     #[test]
     fn gain_terms_break_down_the_winning_score() {
-        let snap = testutil::snapshot(&[0.6, 0.4], &[(1, &[3.0, 1.0][..])]);
+        let snap = snapshot(&[0.6, 0.4], &[(1, &[3.0, 1.0][..])]);
         let terms = gain_terms(&snap, TaskId(1));
         let present: Vec<GainTerm> = terms.iter().flatten().copied().collect();
         assert_eq!(present.len(), 2);
@@ -391,20 +431,13 @@ mod tests {
         assert!((present[0].contribution() - 1.8).abs() < 1e-9);
         assert!((present[1].contribution() - 0.4).abs() < 1e-9);
         let total: f64 = present.iter().map(|t| t.contribution()).sum();
-        let sel = MultiObjectivePolicy.select(&snap).unwrap();
+        let sel = select_naive(MO, &snap).unwrap();
         assert!((total - sel.score).abs() < 1e-9, "terms must sum to score");
     }
 
     #[test]
     fn gain_terms_for_unknown_task_are_empty() {
-        let snap = testutil::snapshot(&[1.0], &[(1, &[1.0][..])]);
+        let snap = snapshot(&[1.0], &[(1, &[1.0][..])]);
         assert!(gain_terms(&snap, TaskId(99)).iter().all(|t| t.is_none()));
-    }
-
-    #[test]
-    fn policy_kind_builds_named_policies() {
-        assert_eq!(PolicyKind::MultiObjective.build().name(), "multi-objective");
-        assert_eq!(PolicyKind::Heuristic.build().name(), "heuristic");
-        assert_eq!(PolicyKind::CurrentUsage.build().name(), "current-usage");
     }
 }

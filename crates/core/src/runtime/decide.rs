@@ -57,15 +57,9 @@ impl AtroposRuntime {
             &inner.cfg,
             candidate,
         );
-        if candidate {
-            // The full snapshot is for observers: built now for a
-            // recorder (in place, over the previous one), otherwise owed
-            // to whoever calls `last_estimate()`.
-            inner.estimate_stale = true;
-            if rec.enabled() {
-                inner.materialize_estimate();
-            }
-        }
+        // The full snapshot is owed to whoever calls `last_estimate()`;
+        // nothing the tick does reads it.
+        inner.estimate_stale |= candidate;
         timer.lap(&mut inner.phases, TickPhase::Refresh);
         let outcome = if candidate {
             inner.stats.candidates += 1;
@@ -114,13 +108,11 @@ impl Inner {
         };
         self.stats.overloads_by_type[type_idx] += 1;
         if rec.enabled() {
-            // The explanation pass: score/rank events cost real work (an
-            // extra Algorithm-1 evaluation over the snapshot the tick
-            // materialized for the recorder), so they run only with one
-            // attached.
-            let snapshot = self.last_estimate.as_ref().expect("materialized above");
+            // The explanation pass: the ranking costs a sort and a
+            // dominance walk over every candidate, so it runs only with a
+            // recorder attached.
             for &rid in &hot {
-                let r = &snapshot.resources[rid.index()];
+                let r = &self.policy_index.resources()[rid.index()];
                 rec.emit(|tick| DecisionEvent::ResourceScored {
                     tick,
                     resource: r.id,
@@ -131,7 +123,7 @@ impl Inner {
                     hold_ns: r.hold_ns,
                 });
             }
-            for s in crate::policy::ranked(snapshot) {
+            for s in self.policy_index.ranked() {
                 rec.emit(|tick| DecisionEvent::CandidateRanked {
                     tick,
                     task: s.task,

@@ -110,12 +110,12 @@ struct Inner {
     policy_index: PolicyIndex,
     cancel: CancelManager,
     ts: TimestampPolicy,
-    /// The snapshot buffer `last_estimate()` hands out; `None` until the
-    /// first overloaded tick.
+    /// The snapshot buffer `last_estimate()` hands out; `None` until it is
+    /// first read after an overloaded tick.
     last_estimate: Option<EstimatorSnapshot>,
-    /// True when the latest overloaded tick decided from the index alone
-    /// (no recorder attached) and `last_estimate` has not been
-    /// materialized for it yet.
+    /// True when an overloaded tick ran since `last_estimate` was last
+    /// materialized: the tick decides from the index alone and leaves
+    /// the snapshot to its first reader.
     estimate_stale: bool,
     /// Wall-clock cost of each tick phase; see [`crate::phase`].
     phases: TickPhases,
@@ -236,14 +236,15 @@ impl AtroposRuntime {
     /// The estimator snapshot of the most recent overloaded tick, `None`
     /// before the first one.
     ///
-    /// The tick itself decides from the policy index and builds the full
-    /// snapshot only for an attached recorder; otherwise it is
-    /// materialized here, on first read — O(tasks with any gain) — from
-    /// what the index holds at that point. Read before the next tick
-    /// (the only way the chaos checker and the runtime tests read it) it
-    /// equals the reference [`estimate`](crate::estimator::estimate) of
-    /// the window the tick decided on; read later, tasks that parked in
-    /// between show the window they parked with.
+    /// The tick decides and explains from the policy index and never
+    /// builds the full snapshot: it is materialized here, on first read —
+    /// O(tasks with any gain) — from what the index holds at that point
+    /// (or by `register_resource`, just before the index starts over).
+    /// Read before the next tick (the only way the chaos checker and the
+    /// runtime tests read it) it equals the reference
+    /// [`estimate`](crate::estimator::estimate) of the window the tick
+    /// decided on; read later, tasks that parked in between show the
+    /// window they parked with.
     pub fn last_estimate(&self) -> Option<EstimatorSnapshot> {
         let mut inner = self.inner.lock();
         inner.materialize_estimate();
@@ -691,17 +692,25 @@ mod tests {
     /// just decided on: a fresh batch `estimate` over every task — the
     /// parked ones caught up to what eager rolling would have left —
     /// equals what `last_estimate()` materializes from the index,
-    /// `select_naive` over it equals the index's selection, and the
-    /// tick's outcome is the one the reference alone would have produced.
+    /// `select_naive` and `ranked_naive` over it equal the index's
+    /// selection and ranking, and the tick's outcome is the one the
+    /// reference alone would have produced.
     fn assert_tick_matches_policy_reference(rt: &AtroposRuntime, outcome: &TickOutcome) {
-        use crate::policy::testutil::canon;
+        use crate::config::PolicyKind;
+        use crate::policy::{gain_terms, ranked_naive, select_naive, testutil::canon};
         let estimate = rt.last_estimate().map(canon);
         let mut inner = rt.inner.lock();
         inner.tasks.catch_up_parked();
         let fresh = crate::estimator::estimate(inner.tasks.iter(), &inner.resources, &inner.cfg);
         assert_eq!(estimate, Some(canon(fresh.clone())));
-        let naive = inner.cfg.policy.build().select_naive(&fresh);
+        let naive = select_naive(inner.cfg.policy, &fresh);
         assert_eq!(inner.policy_index.select(inner.cfg.policy), naive);
+        let ranked = inner.policy_index.ranked();
+        assert_eq!(ranked, ranked_naive(&fresh));
+        assert_eq!(
+            inner.policy_index.select(PolicyKind::MultiObjective),
+            ranked.first().copied()
+        );
         let hot = fresh.bottlenecked(inner.cfg.detector.min_contention);
         match outcome {
             TickOutcome::Idle => panic!("idle ticks do not settle the index"),
@@ -719,7 +728,7 @@ mod tests {
                 if let Some(s) = naive {
                     assert_eq!(
                         inner.policy_index.gain_terms(s.task),
-                        crate::policy::gain_terms(&fresh, s.task)
+                        gain_terms(&fresh, s.task)
                     );
                 }
             }

@@ -3,8 +3,8 @@
 
 use atropos::accounting::UsageStats;
 use atropos::estimator::{EstimatorSnapshot, ResourceSnapshot, TaskGainSnapshot};
-use atropos::policy::{CancellationPolicy, CurrentUsagePolicy, MultiObjectivePolicy};
-use atropos::{ResourceId, ResourceType, TaskId, TaskKey};
+use atropos::policy::select_naive;
+use atropos::{PolicyKind, ResourceId, ResourceType, TaskId, TaskKey};
 use proptest::prelude::*;
 
 /// Arbitrary event for the accounting state machine.
@@ -118,7 +118,7 @@ proptest! {
     /// candidate and never a non-cancellable or zero-gain task.
     #[test]
     fn selection_is_non_dominated(snap in snapshot_strategy()) {
-        if let Some(sel) = MultiObjectivePolicy.select(&snap) {
+        if let Some(sel) = select_naive(PolicyKind::MultiObjective, &snap) {
             let picked = snap.tasks.iter().find(|t| t.task == sel.task).unwrap();
             prop_assert!(picked.cancellable);
             prop_assert!(picked.gains.iter().any(|&g| g > 0.0));
@@ -144,11 +144,11 @@ proptest! {
     /// Selection is deterministic: the same snapshot yields the same pick.
     #[test]
     fn selection_is_deterministic(snap in snapshot_strategy()) {
-        let a = MultiObjectivePolicy.select(&snap);
-        let b = MultiObjectivePolicy.select(&snap);
+        let a = select_naive(PolicyKind::MultiObjective, &snap);
+        let b = select_naive(PolicyKind::MultiObjective, &snap);
         prop_assert_eq!(a.map(|s| s.task), b.map(|s| s.task));
-        let c = CurrentUsagePolicy.select(&snap);
-        let d = CurrentUsagePolicy.select(&snap);
+        let c = select_naive(PolicyKind::CurrentUsage, &snap);
+        let d = select_naive(PolicyKind::CurrentUsage, &snap);
         prop_assert_eq!(c.map(|s| s.task), d.map(|s| s.task));
     }
 
@@ -160,7 +160,7 @@ proptest! {
         snap in snapshot_strategy(),
         scale in 0.1f64..10.0,
     ) {
-        let before = MultiObjectivePolicy.select(&snap);
+        let before = select_naive(PolicyKind::MultiObjective, &snap);
         let mut scaled = snap.clone();
         for t in &mut scaled.tasks {
             if let Some(g) = t.gains.get_mut(0) {
@@ -170,7 +170,7 @@ proptest! {
                 *g *= scale;
             }
         }
-        if let Some(sel) = MultiObjectivePolicy.select(&scaled) {
+        if let Some(sel) = select_naive(PolicyKind::MultiObjective, &scaled) {
             let picked = scaled.tasks.iter().find(|t| t.task == sel.task).unwrap();
             for other in &scaled.tasks {
                 if other.task == picked.task {
@@ -184,7 +184,7 @@ proptest! {
         // If there was nothing selectable before, scaling cannot create
         // gain out of nothing (scale > 0 preserves zero/non-zero).
         if before.is_none() {
-            prop_assert!(MultiObjectivePolicy.select(&scaled).is_none());
+            prop_assert!(select_naive(PolicyKind::MultiObjective, &scaled).is_none());
         }
     }
 }

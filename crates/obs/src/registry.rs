@@ -9,14 +9,14 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use atropos::phase::{TickPhase, TickPhases};
+use atropos::phase::{log2_bucket, TickPhase, TickPhases, PHASE_BUCKETS};
 use atropos::{BackoffReason, CancelOrigin, DecisionEvent};
 use serde::{Deserialize, Serialize};
 
 /// Number of log2 buckets in the time-to-cancel histogram: bucket `i`
 /// counts completions with `time_to_cancel_ns` in `[2^i, 2^(i+1))`
-/// (bucket 0 also holds zero).
-pub const TTC_BUCKETS: usize = 64;
+/// (bucket 0 also holds zero), the tick phases' [`log2_bucket`] rule.
+pub const TTC_BUCKETS: usize = PHASE_BUCKETS;
 
 /// Per-resource gauges are kept in fixed arrays of this many slots;
 /// resources with higher ids are folded into the last slot (and flagged
@@ -141,12 +141,7 @@ impl MetricsRegistry {
             } => {
                 self.cancels_completed.fetch_add(1, REL);
                 self.ttc_sum_ns.fetch_add(time_to_cancel_ns, REL);
-                let bucket = if time_to_cancel_ns == 0 {
-                    0
-                } else {
-                    (63 - time_to_cancel_ns.leading_zeros() as usize).min(TTC_BUCKETS - 1)
-                };
-                self.ttc_buckets[bucket].fetch_add(1, REL);
+                self.ttc_buckets[log2_bucket(time_to_cancel_ns)].fetch_add(1, REL);
             }
             DecisionEvent::RegularOverload { .. } => {
                 self.regular_overloads.fetch_add(1, REL);

@@ -5,13 +5,16 @@
 //! Task A offers most of its gain on the buffer pool; task B offers a
 //! balanced gain on pool + lock. Depending on which resource is more
 //! contended, the policy picks a different culprit — the behaviour the
-//! single-resource heuristic cannot reproduce.
+//! single-resource heuristic cannot reproduce. The snapshot is built by
+//! hand, so the picks come from the reference evaluation,
+//! `policy::select_naive`, which the runtime's policy index matches bit
+//! for bit.
 //!
 //! Run with: `cargo run --release --example multi_resource`
 
 use atropos::estimator::{EstimatorSnapshot, ResourceSnapshot, TaskGainSnapshot};
-use atropos::policy::{CancellationPolicy, HeuristicPolicy, MultiObjectivePolicy};
-use atropos::{ResourceId, ResourceType, TaskId, TaskKey};
+use atropos::policy::select_naive;
+use atropos::{PolicyKind, ResourceId, ResourceType, TaskId, TaskKey};
 
 fn snapshot(c_mem: f64, c_lock: f64) -> EstimatorSnapshot {
     let total = c_mem + c_lock;
@@ -75,14 +78,15 @@ fn main() {
     );
     for (c_mem, c_lock) in [(0.6, 0.4), (0.4, 0.6), (0.9, 0.1), (0.1, 0.9)] {
         let snap = snapshot(c_mem, c_lock);
-        let multi = MultiObjectivePolicy
-            .select(&snap)
-            .map(|s| format!("task {}", s.task.0))
-            .unwrap_or_else(|| "-".into());
-        let heur = HeuristicPolicy
-            .select(&snap)
-            .map(|s| format!("task {}", s.task.0))
-            .unwrap_or_else(|| "-".into());
+        let pick = |kind| {
+            select_naive(kind, &snap)
+                .map(|s| format!("task {}", s.task.0))
+                .unwrap_or_else(|| "-".into())
+        };
+        let (multi, heur) = (
+            pick(PolicyKind::MultiObjective),
+            pick(PolicyKind::Heuristic),
+        );
         println!("({c_mem:.1}, {c_lock:.1}) {:>32} {:>12}", multi, heur);
     }
     println!(
