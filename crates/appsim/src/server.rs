@@ -1103,16 +1103,6 @@ impl SimServer {
 
     // ---- test/diagnostic accessors ----
 
-    /// Live request count.
-    pub fn live_requests(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Parked (canceled, awaiting re-execution) request count.
-    pub fn parked_requests(&self) -> usize {
-        self.parked.len()
-    }
-
     /// Metrics so far (for inspection mid-run in tests).
     pub fn metrics(&self) -> &ServerMetrics {
         &self.metrics

@@ -77,14 +77,12 @@ fn bench_policy_index(c: &mut Criterion) {
 fn bench_estimate(c: &mut Criterion) {
     use atropos::resource::ResourceRegistry;
     use atropos::task::TaskRecord;
-    use atropos::AtroposConfig;
     let mut g = c.benchmark_group("estimate");
     g.sample_size(30);
     let mut reg = ResourceRegistry::new();
     for i in 0..N_RESOURCES {
         reg.register(format!("r{i}"), ResourceType::Lock);
     }
-    let cfg = AtroposConfig::default();
     for &n in &[64usize, 512, 4096] {
         let mut tasks: Vec<TaskRecord> = (0..n)
             .map(|i| {
@@ -101,7 +99,7 @@ fn bench_estimate(c: &mut Criterion) {
         // Re-roll each iteration is unnecessary: estimate() is read-only.
         let tasks_ref = &mut tasks;
         g.bench_with_input(BenchmarkId::new("full_pass", n), &n, |b, _| {
-            b.iter(|| atropos::estimator::estimate(black_box(tasks_ref.iter()), &reg, &cfg))
+            b.iter(|| atropos::estimator::estimate(black_box(tasks_ref.iter()), &reg))
         });
     }
     g.finish();

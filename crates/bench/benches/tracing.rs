@@ -202,15 +202,15 @@ fn bench_tick_drain(c: &mut Criterion) {
 }
 
 fn bench_timestamp_modes(c: &mut Criterion) {
-    use atropos::trace::TimestampPolicy;
+    use atropos::trace::{TimestampPolicy, SAMPLE_INTERVAL_NS};
     use atropos::TimestampMode;
     let mut g = c.benchmark_group("timestamp");
     let clock = SystemClock::new();
-    let mut sampled = TimestampPolicy::new(1_000_000);
+    let mut sampled = TimestampPolicy::new(SAMPLE_INTERVAL_NS);
     g.bench_function("stamp/sampled", |b| {
         b.iter(|| sampled.stamp(black_box(clock.now_ns())))
     });
-    let mut precise = TimestampPolicy::new(1_000_000);
+    let mut precise = TimestampPolicy::new(SAMPLE_INTERVAL_NS);
     precise.set_mode(TimestampMode::Precise);
     g.bench_function("stamp/precise", |b| {
         b.iter(|| precise.stamp(black_box(clock.now_ns())))

@@ -8,7 +8,7 @@
 use atropos::policy::PolicyIndex;
 use atropos::resource::ResourceRegistry;
 use atropos::task::{TaskRecord, TaskTable};
-use atropos::{AtroposConfig, ResourceType, TaskId, TaskKey};
+use atropos::{ResourceType, TaskId, TaskKey};
 
 /// Registered resources, all LOCKs.
 pub const N_RESOURCES: usize = 7;
@@ -17,8 +17,6 @@ pub const N_RESOURCES: usize = 7;
 pub struct IndexLoad {
     /// The registry the terms are derived against.
     pub reg: ResourceRegistry,
-    /// The default configuration.
-    pub cfg: AtroposConfig,
     /// The tasks and their visit set.
     pub tasks: TaskTable,
     /// The index under test.
@@ -53,12 +51,7 @@ impl IndexLoad {
             tasks.insert(t);
         }
         tasks.roll(1_000_000);
-        IndexLoad {
-            reg,
-            cfg: AtroposConfig::default(),
-            tasks,
-            index,
-        }
+        IndexLoad { reg, tasks, index }
     }
 
     /// A settled index over `n` busy tasks: what a candidate tick
@@ -72,7 +65,6 @@ impl IndexLoad {
     /// A candidate tick's refresh: parks the steady tasks, re-derives the
     /// visited ones and settles the index.
     pub fn refresh(&mut self) {
-        self.tasks
-            .refresh(&mut self.index, &self.reg, &self.cfg, true);
+        self.tasks.refresh(&mut self.index, &self.reg, true);
     }
 }

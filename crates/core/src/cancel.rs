@@ -21,6 +21,19 @@ use crate::config::AtroposConfig;
 use crate::ids::TaskKey;
 use crate::record::{BackoffReason, CancelOrigin, DecisionEvent, RecorderHandle};
 
+/// Consecutive overload-free windows after which a canceled task is
+/// re-executed ("sustained resource availability", §4): 1 s of 10 ms
+/// windows.
+pub const REEXEC_QUIET_WINDOWS: u32 = 100;
+
+/// Deadline after cancellation by which a foreground task must be
+/// re-executed, or it is dropped for missing its SLO (ns).
+pub const REEXEC_DEADLINE_NS: u64 = 800_000_000;
+
+/// Maximum wait of a canceled *background* task, after which its
+/// re-execution is forced regardless of load (ns).
+pub const BACKGROUND_MAX_WAIT_NS: u64 = 10_000_000_000;
+
 /// Callback invoked with a task's application key.
 pub type KeyCallback = Box<dyn Fn(TaskKey) + Send + Sync>;
 
@@ -33,7 +46,8 @@ pub enum CancelDecision {
     RateLimited,
     /// Suppressed: this task was already canceled once (fairness, §4).
     AlreadyCanceled,
-    /// Suppressed: no initiator registered via `set_cancel_action`.
+    /// Suppressed: neither `set_cancel_action` nor
+    /// `set_thread_cancel_action` registered an initiator.
     NoInitiator,
 }
 
@@ -66,14 +80,10 @@ pub struct CancelStats {
 pub struct CancelManager {
     on_cancel: Option<KeyCallback>,
     on_thread_cancel: Option<KeyCallback>,
-    allow_thread_level: bool,
     on_reexec: Option<KeyCallback>,
     on_drop: Option<KeyCallback>,
     last_cancel_at: Option<u64>,
     min_interval_ns: u64,
-    reexec_quiet_windows: u32,
-    reexec_deadline_ns: u64,
-    background_max_wait_ns: u64,
     quiet_windows: u32,
     pending: Vec<PendingReexec>,
     /// The re-executed task currently in flight, if any. Re-executions are
@@ -107,14 +117,10 @@ impl CancelManager {
         Self {
             on_cancel: None,
             on_thread_cancel: None,
-            allow_thread_level: cfg.allow_thread_level_cancel,
             on_reexec: None,
             on_drop: None,
             last_cancel_at: None,
             min_interval_ns: cfg.cancel_min_interval_ns,
-            reexec_quiet_windows: cfg.reexec_quiet_windows,
-            reexec_deadline_ns: cfg.reexec_deadline_ns,
-            background_max_wait_ns: cfg.background_max_wait_ns,
             quiet_windows: 0,
             pending: Vec::new(),
             outstanding_reexec: None,
@@ -130,9 +136,10 @@ impl CancelManager {
     }
 
     /// Registers the coarse thread-level cancellation fallback (§3.6, the
-    /// `pthread_cancel` analog). Only used when no application initiator
-    /// exists *and* the configuration opted in — it is potentially unsafe
-    /// because it terminates at the thread, not the task, level.
+    /// `pthread_cancel` analog). Registering it is the opt-in; it is used
+    /// only when no application initiator exists, because it is
+    /// potentially unsafe: it terminates at the thread, not the task,
+    /// level.
     pub fn set_thread_cancel_action(&mut self, f: KeyCallback) {
         self.on_thread_cancel = Some(f);
     }
@@ -167,10 +174,8 @@ impl CancelManager {
                 return CancelDecision::RateLimited;
             }
         }
-        let cb = match (&self.on_cancel, &self.on_thread_cancel) {
-            (Some(cb), _) => cb,
-            (None, Some(cb)) if self.allow_thread_level => cb,
-            _ => return CancelDecision::NoInitiator,
+        let Some(cb) = self.on_cancel.as_ref().or(self.on_thread_cancel.as_ref()) else {
+            return CancelDecision::NoInitiator;
         };
         cb(key);
         self.last_cancel_at = Some(now);
@@ -178,7 +183,7 @@ impl CancelManager {
         self.pending.push(PendingReexec {
             key,
             canceled_at: now,
-            deadline: now.saturating_add(self.reexec_deadline_ns),
+            deadline: now.saturating_add(REEXEC_DEADLINE_NS),
             background,
         });
         self.stats.issued += 1;
@@ -230,11 +235,7 @@ impl CancelManager {
     /// canceled so a re-registered child is non-cancellable. Children are
     /// not parked: their re-execution rides with the root's.
     pub fn propagate(&mut self, keys: &[TaskKey]) {
-        let Some(cb) = self.on_cancel.as_ref().or(if self.allow_thread_level {
-            self.on_thread_cancel.as_ref()
-        } else {
-            None
-        }) else {
+        let Some(cb) = self.on_cancel.as_ref().or(self.on_thread_cancel.as_ref()) else {
             return;
         };
         for &key in keys {
@@ -250,7 +251,7 @@ impl CancelManager {
     /// Notifies the manager that a detection window closed.
     ///
     /// `overloaded` is true if this window produced a candidate overload.
-    /// After `reexec_quiet_windows` consecutive calm windows, pending tasks
+    /// After [`REEXEC_QUIET_WINDOWS`] consecutive calm windows, pending tasks
     /// are re-executed. Tasks whose SLO deadline passed are dropped;
     /// background tasks past their maximum wait are force-re-executed.
     pub fn on_window(&mut self, now: u64, overloaded: bool) {
@@ -262,7 +263,7 @@ impl CancelManager {
         if self.pending.is_empty() {
             return;
         }
-        let calm = self.quiet_windows >= self.reexec_quiet_windows;
+        let calm = self.quiet_windows >= REEXEC_QUIET_WINDOWS;
         // Drop foreground tasks whose SLO deadline passed while waiting.
         let mut keep = Vec::with_capacity(self.pending.len());
         let mut to_drop: Vec<TaskKey> = Vec::new();
@@ -289,7 +290,7 @@ impl CancelManager {
         }
         let eligible = self.pending.iter().position(|p| {
             if p.background {
-                calm || now.saturating_sub(p.canceled_at) >= self.background_max_wait_ns
+                calm || now.saturating_sub(p.canceled_at) >= BACKGROUND_MAX_WAIT_NS
             } else {
                 calm
             }
@@ -374,14 +375,17 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    fn cfg() -> AtroposConfig {
-        AtroposConfig {
+    /// Window width of the virtual timeline: 1 ms, so the
+    /// [`REEXEC_QUIET_WINDOWS`] calm windows of a re-execution fit inside
+    /// [`REEXEC_DEADLINE_NS`].
+    const WIN: u64 = 1_000_000;
+    const QUIET: u64 = REEXEC_QUIET_WINDOWS as u64;
+
+    fn manager() -> CancelManager {
+        CancelManager::new(&AtroposConfig {
             cancel_min_interval_ns: 1000,
-            reexec_quiet_windows: 2,
-            reexec_deadline_ns: 10_000,
-            background_max_wait_ns: 50_000,
             ..Default::default()
-        }
+        })
     }
 
     fn counter_cb(counter: &Arc<AtomicU64>) -> KeyCallback {
@@ -391,22 +395,35 @@ mod tests {
         })
     }
 
+    fn hits(counter: &Arc<AtomicU64>) -> u64 {
+        counter.load(Ordering::SeqCst)
+    }
+
+    /// Closes `n` windows, one every [`WIN`] after `*now`, all calm or all
+    /// overloaded, and leaves `*now` at the last one.
+    fn windows(m: &mut CancelManager, now: &mut u64, n: u64, overloaded: bool) {
+        for _ in 0..n {
+            *now += WIN;
+            m.on_window(*now, overloaded);
+        }
+    }
+
     #[test]
     fn cancel_invokes_initiator() {
-        let mut m = CancelManager::new(&cfg());
-        let hits = Arc::new(AtomicU64::new(0));
-        m.set_cancel_action(counter_cb(&hits));
+        let mut m = manager();
+        let app = Arc::new(AtomicU64::new(0));
+        m.set_cancel_action(counter_cb(&app));
         assert_eq!(
             m.request_cancel(0, TaskKey(1), false),
             CancelDecision::Issued
         );
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        assert_eq!(hits(&app), 1);
         assert_eq!(m.stats().issued, 1);
     }
 
     #[test]
     fn missing_initiator_is_reported() {
-        let mut m = CancelManager::new(&cfg());
+        let mut m = manager();
         assert_eq!(
             m.request_cancel(0, TaskKey(1), false),
             CancelDecision::NoInitiator
@@ -416,44 +433,68 @@ mod tests {
 
     #[test]
     fn thread_level_fallback_requires_opt_in() {
-        let mut c = cfg();
-        let hits = Arc::new(AtomicU64::new(0));
-        // Without the opt-in flag, the fallback is never used.
-        let mut m = CancelManager::new(&c);
-        m.set_thread_cancel_action(counter_cb(&hits));
+        // Nothing registered: no initiator, nothing recorded.
+        let mut m = manager();
         assert_eq!(
             m.request_cancel(0, TaskKey(1), false),
             CancelDecision::NoInitiator
         );
-        assert_eq!(hits.load(Ordering::SeqCst), 0);
-        // With it, the thread-level path fires.
-        c.allow_thread_level_cancel = true;
-        let mut m = CancelManager::new(&c);
-        m.set_thread_cancel_action(counter_cb(&hits));
+        assert!(!m.was_canceled(TaskKey(1)));
+        assert_eq!(m.pending_reexec(), 0);
+        // Registering the thread-level action is the opt-in: it fires.
+        let thread = Arc::new(AtomicU64::new(0));
+        let mut m = manager();
+        m.set_thread_cancel_action(counter_cb(&thread));
         assert_eq!(
             m.request_cancel(0, TaskKey(1), false),
             CancelDecision::Issued
         );
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        assert_eq!(hits(&thread), 1);
+        assert!(m.was_canceled(TaskKey(1)));
+        assert_eq!(m.pending_reexec(), 1);
+        // An application initiator wins over the fallback.
+        let (app, thread) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let mut m = manager();
+        m.set_cancel_action(counter_cb(&app));
+        m.set_thread_cancel_action(counter_cb(&thread));
+        assert_eq!(
+            m.request_cancel(0, TaskKey(1), false),
+            CancelDecision::Issued
+        );
+        assert_eq!((hits(&app), hits(&thread)), (1, 0));
     }
 
     #[test]
-    fn app_initiator_takes_precedence_over_thread_level() {
-        let mut c = cfg();
-        c.allow_thread_level_cancel = true;
-        let mut m = CancelManager::new(&c);
-        let app = Arc::new(AtomicU64::new(0));
+    fn propagate_uses_the_same_initiators() {
+        let children = [TaskKey(2), TaskKey(3)];
+        // Nothing registered: no child is signaled or marked.
+        let mut m = manager();
+        m.propagate(&children);
+        assert_eq!(m.stats().propagated, 0);
+        assert!(!m.was_canceled(TaskKey(2)));
+        // The thread-level action alone: each child is signaled once,
+        // marked canceled and not parked for re-execution.
         let thread = Arc::new(AtomicU64::new(0));
+        let mut m = manager();
+        m.set_thread_cancel_action(counter_cb(&thread));
+        m.propagate(&children);
+        m.propagate(&children);
+        assert_eq!(hits(&thread), 2);
+        assert_eq!(m.stats().propagated, 2);
+        assert!(m.was_canceled(TaskKey(2)) && m.was_canceled(TaskKey(3)));
+        assert_eq!(m.pending_reexec(), 0);
+        // An application initiator wins over the fallback.
+        let (app, thread) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let mut m = manager();
         m.set_cancel_action(counter_cb(&app));
         m.set_thread_cancel_action(counter_cb(&thread));
-        m.request_cancel(0, TaskKey(1), false);
-        assert_eq!(app.load(Ordering::SeqCst), 1);
-        assert_eq!(thread.load(Ordering::SeqCst), 0);
+        m.propagate(&children);
+        assert_eq!((hits(&app), hits(&thread)), (2, 0));
     }
 
     #[test]
     fn rate_limiter_enforces_min_interval() {
-        let mut m = CancelManager::new(&cfg());
+        let mut m = manager();
         m.set_cancel_action(Box::new(|_| {}));
         assert_eq!(
             m.request_cancel(0, TaskKey(1), false),
@@ -472,7 +513,7 @@ mod tests {
 
     #[test]
     fn cancel_once_per_key() {
-        let mut m = CancelManager::new(&cfg());
+        let mut m = manager();
         m.set_cancel_action(Box::new(|_| {}));
         m.request_cancel(0, TaskKey(1), false);
         assert_eq!(
@@ -485,122 +526,132 @@ mod tests {
 
     #[test]
     fn reexec_after_sustained_quiet() {
-        let mut m = CancelManager::new(&cfg());
+        let mut m = manager();
         m.set_cancel_action(Box::new(|_| {}));
         let reexecs = Arc::new(AtomicU64::new(0));
         m.set_reexec_action(counter_cb(&reexecs));
-        m.request_cancel(0, TaskKey(1), false);
+        let mut now = 0;
+        m.request_cancel(now, TaskKey(1), false);
         assert_eq!(m.pending_reexec(), 1);
-        m.on_window(100, false);
-        assert_eq!(reexecs.load(Ordering::SeqCst), 0); // 1 quiet window < 2
-        m.on_window(200, false);
-        assert_eq!(reexecs.load(Ordering::SeqCst), 1);
+        windows(&mut m, &mut now, QUIET - 1, false);
+        assert_eq!(hits(&reexecs), 0, "one calm window short");
+        windows(&mut m, &mut now, 1, false);
+        assert_eq!(hits(&reexecs), 1);
         assert_eq!(m.pending_reexec(), 0);
         assert_eq!(m.stats().reexecuted, 1);
+        assert_eq!(m.stats().dropped, 0);
+        assert!(now < REEXEC_DEADLINE_NS);
     }
 
     #[test]
     fn overloaded_windows_reset_quiet_count() {
-        let mut m = CancelManager::new(&cfg());
+        let mut m = manager();
         m.set_cancel_action(Box::new(|_| {}));
         let reexecs = Arc::new(AtomicU64::new(0));
         m.set_reexec_action(counter_cb(&reexecs));
-        m.request_cancel(0, TaskKey(1), false);
-        m.on_window(100, false);
-        m.on_window(200, true); // overload resets
-        m.on_window(300, false);
-        assert_eq!(reexecs.load(Ordering::SeqCst), 0);
-        m.on_window(400, false);
-        assert_eq!(reexecs.load(Ordering::SeqCst), 1);
+        let mut now = 0;
+        m.request_cancel(now, TaskKey(1), false);
+        windows(&mut m, &mut now, QUIET - 1, false);
+        windows(&mut m, &mut now, 1, true); // overload resets
+        windows(&mut m, &mut now, QUIET - 1, false);
+        assert_eq!(hits(&reexecs), 0);
+        windows(&mut m, &mut now, 1, false);
+        assert_eq!(hits(&reexecs), 1);
     }
 
     #[test]
     fn deadline_miss_drops_task() {
-        let mut m = CancelManager::new(&cfg());
+        let mut m = manager();
         m.set_cancel_action(Box::new(|_| {}));
         let drops = Arc::new(AtomicU64::new(0));
         m.set_drop_action(counter_cb(&drops));
-        m.request_cancel(0, TaskKey(1), false);
-        // Stay overloaded past the 10_000 ns deadline.
-        m.on_window(6_000, true);
-        assert_eq!(drops.load(Ordering::SeqCst), 0);
-        m.on_window(12_000, true);
-        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        let mut now = 0;
+        m.request_cancel(now, TaskKey(1), false);
+        // Stay overloaded up to the window before the deadline.
+        windows(&mut m, &mut now, REEXEC_DEADLINE_NS / WIN - 1, true);
+        assert_eq!(hits(&drops), 0);
+        assert_eq!(m.pending_reexec(), 1);
+        windows(&mut m, &mut now, 1, true);
+        assert_eq!(now, REEXEC_DEADLINE_NS);
+        assert_eq!(hits(&drops), 1);
         assert_eq!(m.stats().dropped, 1);
         assert_eq!(m.pending_reexec(), 0);
     }
 
     #[test]
     fn background_tasks_never_drop_and_force_reexec() {
-        let mut m = CancelManager::new(&cfg());
+        let mut m = manager();
         m.set_cancel_action(Box::new(|_| {}));
         let reexecs = Arc::new(AtomicU64::new(0));
         let drops = Arc::new(AtomicU64::new(0));
         m.set_reexec_action(counter_cb(&reexecs));
         m.set_drop_action(counter_cb(&drops));
-        m.request_cancel(0, TaskKey(9), true);
-        // Permanent overload: deadline (10k) passes, then bg max wait (50k).
-        m.on_window(20_000, true);
-        assert_eq!(drops.load(Ordering::SeqCst), 0);
+        let mut now = 0;
+        m.request_cancel(now, TaskKey(9), true);
+        // Permanent overload: the deadline passes, then the maximum wait.
+        windows(&mut m, &mut now, BACKGROUND_MAX_WAIT_NS / WIN - 1, true);
+        assert!(now > REEXEC_DEADLINE_NS);
+        assert_eq!(hits(&drops), 0);
+        assert_eq!(hits(&reexecs), 0);
         assert_eq!(m.pending_reexec(), 1);
-        m.on_window(60_000, true);
-        assert_eq!(reexecs.load(Ordering::SeqCst), 1);
-        assert_eq!(drops.load(Ordering::SeqCst), 0);
+        windows(&mut m, &mut now, 1, true);
+        assert_eq!(now, BACKGROUND_MAX_WAIT_NS);
+        assert_eq!(hits(&reexecs), 1);
+        assert_eq!(hits(&drops), 0);
     }
 
     #[test]
     fn reexecutions_are_serialized() {
-        let mut m = CancelManager::new(&cfg());
+        let mut m = manager();
         m.set_cancel_action(Box::new(|_| {}));
         let reexecs = Arc::new(AtomicU64::new(0));
         m.set_reexec_action(counter_cb(&reexecs));
         m.request_cancel(0, TaskKey(1), false);
-        m.request_cancel(2_000, TaskKey(2), false);
-        m.on_window(3_000, false);
-        m.on_window(4_000, false);
+        let mut now = 2_000;
+        m.request_cancel(now, TaskKey(2), false);
+        windows(&mut m, &mut now, QUIET, false);
         // Calm: only the first pending task is revived.
-        assert_eq!(reexecs.load(Ordering::SeqCst), 1);
+        assert_eq!(hits(&reexecs), 1);
         assert_eq!(m.pending_reexec(), 1);
-        m.on_window(5_000, false);
-        assert_eq!(reexecs.load(Ordering::SeqCst), 1, "still outstanding");
+        windows(&mut m, &mut now, 1, false);
+        assert_eq!(hits(&reexecs), 1, "still outstanding");
         // The revived task finishes: the next one goes.
         m.note_finished(TaskKey(1));
-        m.on_window(6_000, false);
-        assert_eq!(reexecs.load(Ordering::SeqCst), 2);
+        windows(&mut m, &mut now, 1, false);
+        assert_eq!(hits(&reexecs), 2);
         assert_eq!(m.pending_reexec(), 0);
     }
 
     #[test]
     fn note_finished_for_unrelated_key_is_noop() {
-        let mut m = CancelManager::new(&cfg());
+        let mut m = manager();
         m.set_cancel_action(Box::new(|_| {}));
         let reexecs = Arc::new(AtomicU64::new(0));
         m.set_reexec_action(counter_cb(&reexecs));
-        m.request_cancel(0, TaskKey(1), false);
-        m.on_window(1_000, false);
-        m.on_window(2_000, false);
-        assert_eq!(reexecs.load(Ordering::SeqCst), 1);
+        let mut now = 0;
+        m.request_cancel(now, TaskKey(1), false);
+        windows(&mut m, &mut now, QUIET, false);
+        assert_eq!(hits(&reexecs), 1);
         m.note_finished(TaskKey(42)); // not the outstanding one
-        m.request_cancel(3_000, TaskKey(2), false);
-        m.on_window(4_000, false);
-        m.on_window(5_000, false);
+        m.request_cancel(now, TaskKey(2), false);
+        windows(&mut m, &mut now, QUIET, false);
         // Task 1 never finished, so task 2 stays pending.
-        assert_eq!(reexecs.load(Ordering::SeqCst), 1);
+        assert_eq!(hits(&reexecs), 1);
         assert_eq!(m.pending_reexec(), 1);
     }
 
     #[test]
     fn issuing_cancel_resets_quiet_streak() {
-        let mut m = CancelManager::new(&cfg());
+        let mut m = manager();
         m.set_cancel_action(Box::new(|_| {}));
         let reexecs = Arc::new(AtomicU64::new(0));
         m.set_reexec_action(counter_cb(&reexecs));
-        m.on_window(100, false);
-        m.on_window(200, false); // quiet streak = 2
-        m.request_cancel(250, TaskKey(1), false); // resets streak
-        m.on_window(300, false);
-        assert_eq!(reexecs.load(Ordering::SeqCst), 0);
-        m.on_window(400, false);
-        assert_eq!(reexecs.load(Ordering::SeqCst), 1);
+        let mut now = 0;
+        windows(&mut m, &mut now, QUIET, false); // a full quiet streak
+        m.request_cancel(now + 1, TaskKey(1), false); // resets it
+        windows(&mut m, &mut now, QUIET - 1, false);
+        assert_eq!(hits(&reexecs), 0);
+        windows(&mut m, &mut now, 1, false);
+        assert_eq!(hits(&reexecs), 1);
     }
 }

@@ -16,6 +16,20 @@ use crate::config::DetectorConfig;
 use crate::ids::ResourceId;
 use crate::record::{DecisionEvent, RecorderHandle};
 
+/// The latency quantile the SLO applies to: p99, as in the paper.
+pub const LATENCY_QUANTILE: f64 = 99.0;
+
+/// Throughput counts as "flat" while its relative window-over-window rise
+/// stays at or below this fraction; a latency violation on rising
+/// throughput is read as ramp-up, not saturation.
+pub const THROUGHPUT_FLAT_EPSILON: f64 = 0.05;
+
+/// A candidate is also raised when the latest window's completions fall
+/// this fraction below the recent-history mean while work is in flight (a
+/// partial convoy's victims complete only after release, so the latency
+/// signal alone is too slow).
+pub const THROUGHPUT_DROP_FRAC: f64 = 0.25;
+
 /// Result of one detector evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OverloadSignal {
@@ -24,7 +38,7 @@ pub enum OverloadSignal {
     /// Latency violates the SLO while throughput is flat: a potential
     /// resource overload, pending estimator verification.
     Candidate {
-        /// Observed latency at the configured quantile (ns).
+        /// Observed latency at [`LATENCY_QUANTILE`] (ns).
         latency_ns: u64,
         /// Observed throughput in the latest closed window (qps).
         throughput_qps: f64,
@@ -101,7 +115,7 @@ impl Detector {
             }
             return OverloadSignal::Ok;
         }
-        let latency = last.latency.percentile(self.cfg.latency_quantile);
+        let latency = last.latency.percentile(LATENCY_QUANTILE);
         let tput_prev = prev.throughput_qps(self.cfg.window_ns);
         let tput_last = last.throughput_qps(self.cfg.window_ns);
         // A throughput collapse with work still in flight is a candidate
@@ -117,7 +131,7 @@ impl Detector {
         };
         let collapsed = in_flight > 0
             && hist_mean > 0.0
-            && (last.completed as f64) < hist_mean * (1.0 - self.cfg.throughput_drop_frac);
+            && (last.completed as f64) < hist_mean * (1.0 - THROUGHPUT_DROP_FRAC);
         if collapsed {
             self.candidates += 1;
             return OverloadSignal::Candidate {
@@ -128,8 +142,8 @@ impl Detector {
         if latency <= self.cfg.slo_latency_ns {
             return OverloadSignal::Ok;
         }
-        let rising = tput_prev > 0.0
-            && (tput_last - tput_prev) / tput_prev > self.cfg.throughput_flat_epsilon;
+        let rising =
+            tput_prev > 0.0 && (tput_last - tput_prev) / tput_prev > THROUGHPUT_FLAT_EPSILON;
         if rising {
             // Throughput still climbing: the latency bump may be transient
             // ramp-up, not saturation.
@@ -184,10 +198,7 @@ mod tests {
             window_ns: WIN,
             history: 8,
             slo_latency_ns: slo_ms * MS,
-            latency_quantile: 99.0,
-            throughput_flat_epsilon: 0.05,
             min_contention: 0.1,
-            throughput_drop_frac: 0.25,
         }
     }
 

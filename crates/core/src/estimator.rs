@@ -14,16 +14,16 @@
 //!   preferred over just-started hogs.
 //!
 //! The pass is factored into per-task term derivation
-//! ([`derive_task_terms`]) and a global-sum reduction
-//! ([`resource_snapshots_from_sums`]) so the incremental
+//! (`derive_task_terms`) and a global-sum reduction
+//! (`resource_snapshots_from_sums`) so the incremental
 //! [`PolicyIndex`](crate::policy::PolicyIndex) can maintain exactly the
 //! same quantities task-by-task instead of rebuilding the snapshot; the
 //! index and the batch [`estimate`] share these helpers, which is what
 //! makes their outputs bit-identical.
 
 use crate::accounting::WindowUsage;
-use crate::config::AtroposConfig;
 use crate::ids::{ResourceId, ResourceType, TaskId, TaskKey};
+use crate::progress::{DEFAULT_PROGRESS, PROGRESS_FLOOR};
 use crate::resource::ResourceRegistry;
 use crate::task::TaskRecord;
 
@@ -160,16 +160,11 @@ impl TaskTerms {
 /// on every candidate tick). This is the only place gain terms are computed; the batch
 /// [`estimate`] and the incremental index both call it, so the two
 /// cannot diverge on per-task arithmetic.
-pub(crate) fn derive_task_terms(
-    t: &TaskRecord,
-    resources: &ResourceRegistry,
-    cfg: &AtroposConfig,
-    out: &mut TaskTerms,
-) {
+pub(crate) fn derive_task_terms(t: &TaskRecord, resources: &ResourceRegistry, out: &mut TaskTerms) {
     let n = resources.len();
     let mult = t
         .progress
-        .future_multiplier(cfg.progress_floor, cfg.default_progress);
+        .future_multiplier(PROGRESS_FLOOR, DEFAULT_PROGRESS);
     let TaskTerms {
         windows,
         raw_future,
@@ -221,7 +216,7 @@ pub(crate) fn derive_task_terms(
     out.key = t.key;
     out.cancellable = t.cancellable;
     out.window_active_ns = window_active;
-    out.progress = t.progress.progress(cfg.progress_floor);
+    out.progress = t.progress.progress(PROGRESS_FLOOR);
     out.active = active;
 }
 
@@ -341,7 +336,6 @@ pub(crate) fn gain_snapshot(
 pub fn estimate<'a>(
     tasks: impl Iterator<Item = &'a TaskRecord>,
     resources: &ResourceRegistry,
-    cfg: &AtroposConfig,
 ) -> EstimatorSnapshot {
     let n = resources.len();
     let mut wait = vec![0u64; n];
@@ -353,7 +347,7 @@ pub fn estimate<'a>(
 
     for t in tasks {
         let mut terms = TaskTerms::zero(n);
-        derive_task_terms(t, resources, cfg, &mut terms);
+        derive_task_terms(t, resources, &mut terms);
         t_exec += terms.window_active_ns;
         for i in 0..n {
             let w = &terms.windows[i];
@@ -409,10 +403,6 @@ mod tests {
         r
     }
 
-    fn cfg() -> AtroposConfig {
-        AtroposConfig::default()
-    }
-
     fn task(id: u64, n: usize) -> TaskRecord {
         TaskRecord::new(TaskId(id), TaskKey(id), n)
     }
@@ -430,7 +420,7 @@ mod tests {
         t.on_unit_start(0);
         t.roll_window(1000);
         let tasks = [t];
-        let s = estimate(tasks.iter(), &reg, &cfg());
+        let s = estimate(tasks.iter(), &reg);
         assert!((s.resources[0].contention - 0.2).abs() < 1e-9);
     }
 
@@ -446,7 +436,7 @@ mod tests {
         holder.roll_window(1000);
         waiter.roll_window(1000);
         let tasks = [holder, waiter];
-        let s = estimate(tasks.iter(), &reg, &cfg());
+        let s = estimate(tasks.iter(), &reg);
         assert!((s.resources[1].contention - 1.0).abs() < 1e-9);
         assert_eq!(s.resources[1].wait_ns, 1000);
         assert_eq!(s.resources[1].hold_ns, 1000);
@@ -459,7 +449,7 @@ mod tests {
         t.on_unit_start(0);
         t.roll_window(1000);
         let tasks = [t];
-        let s = estimate(tasks.iter(), &reg, &cfg());
+        let s = estimate(tasks.iter(), &reg);
         for r in &s.resources {
             assert_eq!(r.contention, 0.0);
             assert_eq!(r.weight, 0.0);
@@ -482,7 +472,7 @@ mod tests {
         a.roll_window(1000);
         b.roll_window(1000);
         let tasks = [a, b];
-        let s = estimate(tasks.iter(), &reg, &cfg());
+        let s = estimate(tasks.iter(), &reg);
         let total: f64 = s.resources.iter().map(|r| r.weight).sum();
         assert!((total - 1.0).abs() < 1e-9, "total {total}");
     }
@@ -500,7 +490,7 @@ mod tests {
         a.roll_window(1000);
         b.roll_window(1000);
         let tasks = [a, b];
-        let s = estimate(tasks.iter(), &reg, &cfg());
+        let s = estimate(tasks.iter(), &reg);
         let ga = s.tasks.iter().find(|t| t.task == TaskId(1)).unwrap();
         let gb = s.tasks.iter().find(|t| t.task == TaskId(2)).unwrap();
         // Future-scaled: B dominates. Current usage: A dominates.
@@ -520,7 +510,7 @@ mod tests {
         a.on_unit_start(0);
         a.roll_window(1000);
         let tasks = [a];
-        let s = estimate(tasks.iter(), &reg, &cfg());
+        let s = estimate(tasks.iter(), &reg);
         let hot = s.bottlenecked(0.0001);
         assert_eq!(hot.first(), Some(&ResourceId(1)));
         assert!(hot.contains(&ResourceId(2)));
@@ -531,7 +521,7 @@ mod tests {
         let reg = registry();
         let idle = task(1, 3);
         let tasks = [idle];
-        let s = estimate(tasks.iter(), &reg, &cfg());
+        let s = estimate(tasks.iter(), &reg);
         assert!(s.tasks.is_empty());
     }
 
@@ -551,7 +541,7 @@ mod tests {
         culprit.roll_window(1000);
         victim.roll_window(1000);
         let tasks = [culprit, victim];
-        let s = estimate(tasks.iter(), &reg, &cfg());
+        let s = estimate(tasks.iter(), &reg);
         let g_culprit = s.tasks.iter().find(|t| t.task == TaskId(1)).unwrap();
         let g_victim = s.tasks.iter().find(|t| t.task == TaskId(2)).unwrap();
         assert!(
@@ -573,7 +563,7 @@ mod tests {
         dump.on_unit_start(0);
         dump.roll_window(1000);
         let tasks = [dump];
-        let s = estimate(tasks.iter(), &reg, &cfg());
+        let s = estimate(tasks.iter(), &reg);
         let g = &s.tasks[0];
         assert!(g.gains[0] > 0.9, "evictor memory gain {:?}", g.gains);
     }
@@ -597,7 +587,7 @@ mod tests {
         holder.roll_window(1000);
         waiter.roll_window(1000);
         let tasks = [holder, waiter];
-        let s = estimate(tasks.iter(), &reg, &cfg());
+        let s = estimate(tasks.iter(), &reg);
         // Lock raw contention is enormous but its weight share is capped
         // at 20/(20 + 1): the memory resource keeps a voice.
         assert!(s.resources[1].contention > 100.0);
@@ -620,7 +610,7 @@ mod tests {
         a.roll_window(1000);
         b.roll_window(1000);
         let tasks = [a, b];
-        let s = estimate(tasks.iter(), &reg, &cfg());
+        let s = estimate(tasks.iter(), &reg);
         assert_eq!(s.t_exec_ns, 1500);
     }
 
@@ -639,8 +629,8 @@ mod tests {
         a.roll_window(1000);
         b.roll_window(1000);
         let tasks = [a, b];
-        let s1 = estimate(tasks.iter(), &reg, &cfg());
-        let s2 = estimate(tasks.iter(), &reg, &cfg());
+        let s1 = estimate(tasks.iter(), &reg);
+        let s2 = estimate(tasks.iter(), &reg);
         assert_eq!(s1, s2);
     }
 }

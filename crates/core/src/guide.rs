@@ -33,10 +33,12 @@
 //! ```
 //!
 //! Applications without any initiator can opt into the coarse thread-level
-//! fallback ([`crate::AtroposRuntime::set_thread_cancel_action`]) — off by
-//! default because terminating a thread mid-critical-section is unsafe
-//! unless the developers established otherwise (the paper's Apache/PHP
-//! case, §5.2).
+//! fallback by registering it
+//! ([`crate::AtroposRuntime::set_thread_cancel_action`]); there is no
+//! other switch. Nothing registers it by default, because terminating a
+//! thread mid-critical-section is unsafe unless the developers
+//! established otherwise (the paper's Apache/PHP case, §5.2). An
+//! application initiator, when registered, always wins over it.
 //!
 //! ## 3. Register application resources (§3.2)
 //!
@@ -79,9 +81,9 @@
 //! rt.free_cancel(task);
 //! ```
 //!
-//! Tasks that never report progress are scored at the configured
-//! [`crate::AtroposConfig::default_progress`] (0.5 by default: gain equals
-//! current usage).
+//! Tasks that never report progress are scored at
+//! [`crate::progress::DEFAULT_PROGRESS`] (0.5: gain equals current usage);
+//! reported progress is floored at [`crate::progress::PROGRESS_FLOOR`].
 //!
 //! ## 5. Drive the control loop
 //!
@@ -93,6 +95,14 @@
 //! [`crate::runtime::TickOutcome`] for logging.
 //!
 //! ## 6. Tuning knobs that matter
+//!
+//! Only what deployments set differently is a knob. The paper's design
+//! constants are constants: the p99 quantile
+//! ([`crate::detect::LATENCY_QUANTILE`]), the flat-throughput and collapse
+//! tests ([`crate::detect::THROUGHPUT_FLAT_EPSILON`],
+//! [`crate::detect::THROUGHPUT_DROP_FRAC`]), the 1 ms stamp sampling
+//! interval ([`crate::trace::SAMPLE_INTERVAL_NS`]) and the §4
+//! re-execution timings of the next section.
 //!
 //! - [`crate::DetectorConfig::slo_latency_ns`] — the whole system is
 //!   driven by this bound; set it from your latency SLO.
@@ -108,7 +118,8 @@
 //!
 //! Each task is canceled at most once; a canceled task is re-executed
 //! once resources have stayed available for
-//! [`crate::AtroposConfig::reexec_quiet_windows`] windows (re-executions
-//! are serialized and the revived task is non-cancellable), or dropped if
-//! its deadline passes first; background tasks are never dropped, only
-//! delayed up to [`crate::AtroposConfig::background_max_wait_ns`].
+//! [`crate::cancel::REEXEC_QUIET_WINDOWS`] windows (re-executions are
+//! serialized and the revived task is non-cancellable), or dropped if
+//! [`crate::cancel::REEXEC_DEADLINE_NS`] passes first; background tasks
+//! are never dropped, only delayed up to
+//! [`crate::cancel::BACKGROUND_MAX_WAIT_NS`].

@@ -325,7 +325,7 @@ impl LockFreeIngest {
 
     /// Harvests queue `i` up to `boundary`, appending the records in
     /// emit order to `out`. Must only run under the runtime's state lock
-    /// (single consumer); see [`RecordQueue::harvest_upto`] for the
+    /// (single consumer); see `RecordQueue::harvest_upto` for the
     /// early-stop contract at unpublished cells.
     pub fn harvest(&self, i: usize, boundary: &EpochBoundary, out: &mut Vec<TraceRecord>) {
         self.queues[i].harvest_upto(boundary.heads[i], out);

@@ -61,7 +61,7 @@
 //! bit-identical to the reference.
 
 use super::{dominates, Selection};
-use crate::config::{AtroposConfig, PolicyKind};
+use crate::config::PolicyKind;
 use crate::estimator::{
     derive_task_terms, gain_snapshot, normalize_gain, resource_snapshots_from_sums,
     EstimatorSnapshot, ResourceSnapshot, TaskGainSnapshot, TaskTerms,
@@ -252,8 +252,8 @@ impl PolicyIndex {
         );
     }
 
-    /// The per-resource contention figures of the last
-    /// [settled](PolicyIndex::settle) window, indexed by
+    /// The per-resource contention figures of the window the index last
+    /// settled on (a candidate tick's refresh), indexed by
     /// `ResourceId::index()`.
     pub fn resources(&self) -> &[ResourceSnapshot] {
         &self.resources
@@ -285,18 +285,13 @@ impl PolicyIndex {
     /// published and folds the delta into the global sums, postings lists
     /// and max tracks, allocating a slot for a task the index has not
     /// seen.
-    pub(crate) fn update_task(
-        &mut self,
-        t: &TaskRecord,
-        resources: &ResourceRegistry,
-        cfg: &AtroposConfig,
-    ) {
+    pub(crate) fn update_task(&mut self, t: &TaskRecord, resources: &ResourceRegistry) {
         debug_assert_eq!(resources.len(), self.n, "registered without reset");
         // Derive into the spare buffers, then swap them with the slot's:
         // `spare` holds the old terms for the delta fold below and is
         // overwritten by the next derivation, so an update allocates only
         // for tasks it has not seen before.
-        derive_task_terms(t, resources, cfg, &mut self.spare);
+        derive_task_terms(t, resources, &mut self.spare);
         let slot = match self.by_task.get(&t.id) {
             Some(&s) => s as usize,
             None => self.alloc_slot(t.id),
@@ -559,7 +554,7 @@ impl PolicyIndex {
     /// for `last_estimate()` into `out`, overwriting whatever it held and
     /// reusing its buffers. O(active tasks · R), parked ones included:
     /// `tick()` never calls this. Equal to a fresh [`estimate`](crate::estimator::estimate)
-    /// when read right after [`settle`](PolicyIndex::settle); later, the
+    /// when read right after the index settles; later, the
     /// slots that parking updated since show their newer window.
     pub fn materialize(&mut self, out: &mut EstimatorSnapshot) {
         self.fix_max_tracks();
@@ -609,7 +604,6 @@ mod tests {
     /// `estimate` + `select_naive`. Every mutation goes to both.
     struct Lockstep {
         reg: ResourceRegistry,
-        cfg: AtroposConfig,
         eager: HashMap<TaskId, TaskRecord>,
         tasks: TaskTable,
         index: PolicyIndex,
@@ -628,7 +622,6 @@ mod tests {
             index.reset(reg.len());
             Lockstep {
                 reg,
-                cfg: AtroposConfig::default(),
                 eager: HashMap::new(),
                 tasks: TaskTable::new(0),
                 index,
@@ -681,8 +674,7 @@ mod tests {
                 t.roll_window(now);
             }
             self.tasks.roll(now);
-            self.tasks
-                .refresh(&mut self.index, &self.reg, &self.cfg, false);
+            self.tasks.refresh(&mut self.index, &self.reg, false);
         }
 
         /// A candidate tick: the settled index must agree with a fresh
@@ -696,9 +688,8 @@ mod tests {
                 t.roll_window(now);
             }
             self.tasks.roll(now);
-            self.tasks
-                .refresh(&mut self.index, &self.reg, &self.cfg, true);
-            let fresh = estimate(self.eager.values(), &self.reg, &self.cfg);
+            self.tasks.refresh(&mut self.index, &self.reg, true);
+            let fresh = estimate(self.eager.values(), &self.reg);
             assert_eq!(self.index.resources(), &fresh.resources[..]);
             let mut materialized = EstimatorSnapshot::default();
             self.index.materialize(&mut materialized);
@@ -773,10 +764,7 @@ mod tests {
         ls.remove(2);
         ls.tick(2000);
         ls.index.materialize(&mut reused);
-        assert_eq!(
-            canon(reused),
-            canon(estimate(ls.eager.values(), &ls.reg, &ls.cfg))
-        );
+        assert_eq!(canon(reused), canon(estimate(ls.eager.values(), &ls.reg)));
     }
 
     #[test]

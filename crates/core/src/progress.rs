@@ -4,9 +4,17 @@
 //! model: `Prog(i) = k / N`, where `k` is the number of work units already
 //! processed (e.g. MySQL's `rows_examined`) and `N` the estimated total
 //! (e.g. the optimizer's `estimatedRows`). Applications with quantifiable
-//! progress report `(k, N)`; others fall back to a configured default.
+//! progress report `(k, N)`; others fall back to [`DEFAULT_PROGRESS`].
 
 use serde::{Deserialize, Serialize};
+
+/// Floor applied to task progress when scaling gains by `(1 - p) / p`,
+/// bounding the future-usage multiplier at 49.
+pub const PROGRESS_FLOOR: f64 = 0.02;
+
+/// Progress assumed for a task that never reports any: 0.5 makes the
+/// multiplier 1, so its gain equals its current usage.
+pub const DEFAULT_PROGRESS: f64 = 0.5;
 
 /// Per-task progress state under the GetNext model.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -105,10 +113,10 @@ mod tests {
     }
 
     #[test]
-    fn default_progress_gives_neutral_multiplier() {
+    fn unreported_progress_gives_neutral_multiplier() {
         let p = ProgressTracker::default();
-        // default p = 0.5 → multiplier 1.0: gain equals current usage.
-        assert!((p.future_multiplier(0.01, 0.5) - 1.0).abs() < 1e-12);
+        // DEFAULT_PROGRESS = 0.5 → multiplier 1.0: gain equals current usage.
+        assert!((p.future_multiplier(PROGRESS_FLOOR, DEFAULT_PROGRESS) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -67,11 +67,11 @@ impl AtroposRuntime {
 
     /// Registers the coarse thread-level cancellation fallback (§3.6).
     ///
-    /// Used only when no application initiator is registered and
-    /// [`crate::config::AtroposConfig::allow_thread_level_cancel`] is set
-    /// — e.g. the paper's Apache integration, whose PHP scripts have no
-    /// built-in cancellation and are aborted with `pthread_cancel` after
-    /// the developers established that it is safe (§5.2).
+    /// Registering it is the opt-in; it is used only when no application
+    /// initiator is registered — e.g. the paper's Apache integration,
+    /// whose PHP scripts have no built-in cancellation and are aborted
+    /// with `pthread_cancel` after the developers established that it is
+    /// safe (§5.2).
     pub fn set_thread_cancel_action(&self, f: impl Fn(TaskKey) + Send + Sync + 'static) {
         self.inner
             .lock()
@@ -102,11 +102,6 @@ impl AtroposRuntime {
     /// the default — all emission sites are disabled at zero cost.
     pub fn set_recorder(&self, rec: Arc<dyn Recorder>) {
         self.inner.lock().recorder = Some(rec);
-    }
-
-    /// Detaches the decision-trace recorder, if any.
-    pub fn clear_recorder(&self) {
-        self.inner.lock().recorder = None;
     }
 
     /// Links `child` as a sub-task of `parent` (the distributed extension

@@ -51,12 +51,9 @@ impl AtroposRuntime {
         // The index produces decisions bit-identical to a fresh
         // `estimate` + `select_naive` (enforced by the differential
         // suites) without re-deriving every task.
-        inner.tasks.refresh(
-            &mut inner.policy_index,
-            &inner.resources,
-            &inner.cfg,
-            candidate,
-        );
+        inner
+            .tasks
+            .refresh(&mut inner.policy_index, &inner.resources, candidate);
         // The full snapshot is owed to whoever calls `last_estimate()`;
         // nothing the tick does reads it.
         inner.estimate_stale |= candidate;

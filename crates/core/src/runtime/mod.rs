@@ -41,7 +41,7 @@ use crate::policy::PolicyIndex;
 use crate::record::Recorder;
 use crate::resource::ResourceRegistry;
 use crate::task::{TaskRecord, TaskState, TaskTable};
-use crate::trace::{TimestampMode, TimestampPolicy, TraceRecord};
+use crate::trace::{TimestampMode, TimestampPolicy, TraceRecord, SAMPLE_INTERVAL_NS};
 
 /// Auto-generated keys live in the top half of the key space so they never
 /// collide with developer-provided keys (which are expected to be small
@@ -187,7 +187,7 @@ impl AtroposRuntime {
             detector: Detector::new(cfg.detector.clone(), origin),
             policy_index: PolicyIndex::new(),
             cancel: CancelManager::new(&cfg),
-            ts: TimestampPolicy::new(cfg.sample_interval_ns),
+            ts: TimestampPolicy::new(SAMPLE_INTERVAL_NS),
             resources: ResourceRegistry::new(),
             tasks: TaskTable::new(origin),
             next_task: 1,
@@ -701,7 +701,7 @@ mod tests {
         let estimate = rt.last_estimate().map(canon);
         let mut inner = rt.inner.lock();
         inner.tasks.catch_up_parked();
-        let fresh = crate::estimator::estimate(inner.tasks.iter(), &inner.resources, &inner.cfg);
+        let fresh = crate::estimator::estimate(inner.tasks.iter(), &inner.resources);
         assert_eq!(estimate, Some(canon(fresh.clone())));
         let naive = select_naive(inner.cfg.policy, &fresh);
         assert_eq!(inner.policy_index.select(inner.cfg.policy), naive);

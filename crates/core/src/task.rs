@@ -8,7 +8,6 @@
 //! set**: the tasks a tick has to look at.
 
 use crate::accounting::UsageStats;
-use crate::config::AtroposConfig;
 use crate::ids::{IdMap, ResourceType, TaskId, TaskKey};
 use crate::policy::PolicyIndex;
 use crate::progress::ProgressTracker;
@@ -329,25 +328,19 @@ impl TaskTable {
     }
 
     /// After a roll: parks every visited task that has become
-    /// [steady](TaskRecord::steady), bringing its terms in `index` up to
-    /// date first; with `decide` (a candidate tick is about to read the
-    /// index) brings every visited task's terms up to date and
-    /// [settles](PolicyIndex::settle) the index. Tasks that stay visited
+    /// steady (nothing in its window changes until it is touched),
+    /// bringing its terms in `index` up to date first; with `decide` (a
+    /// candidate tick is about to read the index) brings every visited
+    /// task's terms up to date and settles the index. Tasks that stay visited
     /// on an idle tick are left stale: nothing reads them before the next
     /// candidate tick re-derives them.
-    pub fn refresh(
-        &mut self,
-        index: &mut PolicyIndex,
-        resources: &ResourceRegistry,
-        cfg: &AtroposConfig,
-        decide: bool,
-    ) {
+    pub fn refresh(&mut self, index: &mut PolicyIndex, resources: &ResourceRegistry, decide: bool) {
         let mut pos = 0;
         while let Some(&id) = self.visit.get(pos) {
             let t = self.map.get_mut(&id).expect("visit set names a live task");
             let park = t.steady(resources);
             if decide || park {
-                index.update_task(t, resources, cfg);
+                index.update_task(t, resources);
             }
             if park {
                 // The closed form charges every parked holder Δ from this
@@ -445,30 +438,30 @@ mod tests {
         assert_eq!(t.usage[0].window().acquired, 3);
     }
 
-    fn table() -> (TaskTable, PolicyIndex, ResourceRegistry, AtroposConfig) {
+    fn table() -> (TaskTable, PolicyIndex, ResourceRegistry) {
         let mut reg = ResourceRegistry::new();
         reg.register("pool", ResourceType::Memory); // id 0
         reg.register("lock", ResourceType::Lock); // id 1
         let mut index = PolicyIndex::new();
         index.reset(reg.len());
-        (TaskTable::new(0), index, reg, AtroposConfig::default())
+        (TaskTable::new(0), index, reg)
     }
 
     #[test]
     fn memory_holder_parks_after_two_rolls_and_is_caught_up_when_touched() {
-        let (mut tasks, mut index, reg, cfg) = table();
+        let (mut tasks, mut index, reg) = table();
         tasks.insert(rec());
         tasks.touch(TaskId(1), &mut index).unwrap().usage[0].on_get(10, 3);
         tasks.roll(100);
-        tasks.refresh(&mut index, &reg, &cfg, false);
+        tasks.refresh(&mut index, &reg, false);
         assert_eq!(tasks.visited(), 1, "the acquire is still in the window");
         tasks.roll(200);
-        tasks.refresh(&mut index, &reg, &cfg, false);
+        tasks.refresh(&mut index, &reg, false);
         assert_eq!(tasks.visited(), 0, "only the pinned pages are left");
         // Parked through three rolls of different lengths.
         for now in [350, 350, 420] {
             assert_eq!(tasks.roll(now), 0);
-            tasks.refresh(&mut index, &reg, &cfg, false);
+            tasks.refresh(&mut index, &reg, false);
         }
         assert_eq!(tasks.get(TaskId(1)).unwrap().usage[0].total_hold_ns, 190);
         let t = tasks.touch(TaskId(1), &mut index).unwrap();
@@ -479,7 +472,7 @@ mod tests {
 
     #[test]
     fn lock_holders_open_waits_and_open_units_stay_visited() {
-        let (mut tasks, mut index, reg, cfg) = table();
+        let (mut tasks, mut index, reg) = table();
         for id in 1..=3 {
             tasks.insert(TaskRecord::new(TaskId(id), TaskKey(id), 2));
         }
@@ -491,14 +484,14 @@ mod tests {
             .on_unit_start(10);
         for now in [100, 200, 300] {
             assert_eq!(tasks.roll(now), 1);
-            tasks.refresh(&mut index, &reg, &cfg, false);
+            tasks.refresh(&mut index, &reg, false);
             assert_eq!(tasks.visited(), 3);
         }
     }
 
     #[test]
     fn retiring_keeps_positions_consistent_visited_or_parked() {
-        let (mut tasks, mut index, reg, cfg) = table();
+        let (mut tasks, mut index, reg) = table();
         for id in 1..=4 {
             tasks.insert(TaskRecord::new(TaskId(id), TaskKey(id), 2));
             tasks
@@ -514,9 +507,9 @@ mod tests {
             .unwrap()
             .on_unit_finish(150);
         tasks.roll(200);
-        tasks.refresh(&mut index, &reg, &cfg, false);
+        tasks.refresh(&mut index, &reg, false);
         tasks.roll(300);
-        tasks.refresh(&mut index, &reg, &cfg, false);
+        tasks.refresh(&mut index, &reg, false);
         assert_eq!(tasks.visited(), 2, "task 4 parked");
         assert!(tasks.remove(TaskId(4), &mut index).is_some()); // parked
         assert!(tasks.remove(TaskId(1), &mut index).is_some()); // visited

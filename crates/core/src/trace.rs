@@ -42,13 +42,17 @@ pub enum TimestampMode {
     Precise,
 }
 
+/// The timestamp sampling interval under normal load (§3.2): events
+/// inside one interval share its stamp.
+pub const SAMPLE_INTERVAL_NS: u64 = 1_000_000;
+
 /// Assigns timestamps to trace events according to the current mode.
 #[derive(Debug, Clone)]
 pub struct TimestampPolicy {
     mode: TimestampMode,
     interval_ns: u64,
-    last_sample: u64,
-    clock_reads: u64,
+    /// The last stamp issued; `None` until the first one.
+    last_sample: Option<u64>,
 }
 
 impl TimestampPolicy {
@@ -57,8 +61,7 @@ impl TimestampPolicy {
         Self {
             mode: TimestampMode::Sampled,
             interval_ns: interval_ns.max(1),
-            last_sample: 0,
-            clock_reads: 0,
+            last_sample: None,
         }
     }
 
@@ -78,30 +81,15 @@ impl TimestampPolicy {
     /// has moved a full interval past the last sample, so events within an
     /// interval share a timestamp; in `Precise` mode it is `now` itself.
     pub fn stamp(&mut self, now: u64) -> u64 {
-        match self.mode {
-            TimestampMode::Precise => {
-                self.clock_reads += 1;
-                self.last_sample = now;
-                now
-            }
-            TimestampMode::Sampled => {
-                if now >= self.last_sample + self.interval_ns || self.clock_reads == 0 {
-                    self.clock_reads += 1;
-                    // Quantize to the interval grid so the shared stamp is
-                    // stable regardless of which event triggered the sample.
-                    self.last_sample = now - now % self.interval_ns;
-                }
-                self.last_sample
-            }
-        }
-    }
-
-    /// Number of distinct stamps issued: one per sampled interval touched,
-    /// one per precise event. The runtime reads the clock on every event
-    /// regardless, so this counts the samples the paper's design would
-    /// have read (§5.5 overhead), not reads performed.
-    pub fn clock_reads(&self) -> u64 {
-        self.clock_reads
+        let stamp = match (self.mode, self.last_sample) {
+            (TimestampMode::Precise, _) => now,
+            (TimestampMode::Sampled, Some(last)) if now < last + self.interval_ns => last,
+            // Quantize to the interval grid so the shared stamp is stable
+            // regardless of which event triggered the sample.
+            (TimestampMode::Sampled, _) => now - now % self.interval_ns,
+        };
+        self.last_sample = Some(stamp);
+        stamp
     }
 
     /// Starts a batch replay of buffered events (see [`BatchStamper`]).
@@ -109,12 +97,11 @@ impl TimestampPolicy {
         BatchStamper {
             mode: self.mode,
             interval_ns: self.interval_ns,
-            last0: self.last_sample,
-            first_ever: self.clock_reads == 0,
-            threshold: self.last_sample.saturating_add(self.interval_ns),
-            records: 0,
-            max_now: 0,
-            intervals: Vec::new(),
+            last0: self.last_sample.unwrap_or(0),
+            threshold: self
+                .last_sample
+                .map_or(0, |last| last.saturating_add(self.interval_ns)),
+            max_now: None,
         }
     }
 
@@ -122,22 +109,15 @@ impl TimestampPolicy {
     /// is exactly what stamping the batch's events one by one (in global
     /// time order) would have left behind.
     pub fn commit_batch(&mut self, batch: BatchStamper) {
-        if batch.records == 0 {
+        let Some(max_now) = batch.max_now else {
             return;
-        }
+        };
         debug_assert_eq!(self.mode, batch.mode, "mode changed during a batch");
         match batch.mode {
-            TimestampMode::Precise => {
-                self.clock_reads += batch.records;
-                self.last_sample = batch.max_now;
-            }
+            TimestampMode::Precise => self.last_sample = Some(max_now),
             TimestampMode::Sampled => {
-                let mut intervals = batch.intervals;
-                intervals.sort_unstable();
-                intervals.dedup();
-                self.clock_reads += intervals.len() as u64;
-                if batch.first_ever || batch.max_now >= batch.threshold {
-                    self.last_sample = batch.max_now - batch.max_now % self.interval_ns;
+                if max_now >= batch.threshold {
+                    self.last_sample = Some(max_now - max_now % self.interval_ns);
                 }
             }
         }
@@ -153,14 +133,14 @@ impl TimestampPolicy {
 /// - precise mode: `stamp(now) = now`;
 /// - sampled mode: `stamp(now) = last0` while `now` is still inside the
 ///   interval open at batch start, and the interval-quantized `now`
-///   otherwise (always the latter if the policy has never sampled).
+///   otherwise (always the latter if the policy has never stamped).
 ///
 /// No stamp depends on the *other* events in the batch, so a drain can
 /// replay each ingest queue independently — no global merge or sort —
 /// and still assign every event exactly the stamp sequential per-event
 /// application would have. [`TimestampPolicy::commit_batch`] then advances
-/// the policy to the sequential end state (last sample from the batch
-/// maximum, `clock_reads` from the distinct intervals touched).
+/// the policy to the sequential end state, which depends only on the
+/// batch's latest `now`.
 ///
 /// Under concurrent producers per-queue sequences are still monotone
 /// per thread, but no total time order exists in the first place; the
@@ -170,37 +150,22 @@ pub struct BatchStamper {
     mode: TimestampMode,
     interval_ns: u64,
     last0: u64,
-    first_ever: bool,
+    /// End of the interval open at batch start; 0 if the policy has never
+    /// stamped, so that every sampled event is quantized to the grid.
     threshold: u64,
-    records: u64,
-    max_now: u64,
-    /// Sampled intervals touched; deduped against the previous push so it
-    /// stays one entry per interval per queue, then fully deduped at
-    /// commit.
-    intervals: Vec<u64>,
+    /// Latest `now` stamped; `None` while the batch is empty.
+    max_now: Option<u64>,
 }
 
 impl BatchStamper {
     /// Returns the stamp for an event emitted at `now`.
     #[inline]
     pub fn stamp(&mut self, now: u64) -> u64 {
-        self.records += 1;
-        if now > self.max_now {
-            self.max_now = now;
-        }
+        self.max_now = self.max_now.max(Some(now));
         match self.mode {
             TimestampMode::Precise => now,
-            TimestampMode::Sampled => {
-                if self.first_ever || now >= self.threshold {
-                    let q = now - now % self.interval_ns;
-                    if self.intervals.last() != Some(&q) {
-                        self.intervals.push(q);
-                    }
-                    q
-                } else {
-                    self.last0
-                }
-            }
+            TimestampMode::Sampled if now >= self.threshold => now - now % self.interval_ns,
+            TimestampMode::Sampled => self.last0,
         }
     }
 }
@@ -250,7 +215,9 @@ mod tests {
         p.set_mode(TimestampMode::Precise);
         assert_eq!(p.stamp(123), 123);
         assert_eq!(p.stamp(456), 456);
-        assert_eq!(p.clock_reads(), 2);
+        // Precise stamps are not quantized: the next one is its own `now`
+        // even inside the interval of the previous one.
+        assert_eq!(p.stamp(457), 457);
     }
 
     #[test]
@@ -259,9 +226,9 @@ mod tests {
         let t0 = p.stamp(100);
         let t1 = p.stamp(500);
         let t2 = p.stamp(999);
+        assert_eq!(t0, 0); // the interval's quantized stamp
         assert_eq!(t0, t1);
         assert_eq!(t1, t2);
-        assert_eq!(p.clock_reads(), 1);
     }
 
     #[test]
@@ -269,9 +236,9 @@ mod tests {
         let mut p = TimestampPolicy::new(1000);
         let t0 = p.stamp(100);
         let t1 = p.stamp(1500);
-        assert!(t1 > t0);
+        assert_eq!(t0, 0);
         assert_eq!(t1, 1000); // quantized to the grid
-        assert_eq!(p.clock_reads(), 2);
+        assert_eq!(p.stamp(1999), 1000, "the new interval's stamp is shared");
     }
 
     #[test]
@@ -302,28 +269,50 @@ mod tests {
 
     #[test]
     fn zero_interval_is_clamped() {
+        // A 1 ns interval: every distinct `now` is its own interval.
         let mut p = TimestampPolicy::new(0);
-        let _ = p.stamp(5);
-        let _ = p.stamp(6);
-        assert!(p.clock_reads() >= 1);
+        assert_eq!(p.stamp(5), 5);
+        assert_eq!(p.stamp(5), 5);
+        assert_eq!(p.stamp(6), 6);
     }
 
     #[test]
-    fn sampled_mode_reads_clock_far_less_often() {
-        let mut sampled = TimestampPolicy::new(1_000_000); // 1 ms
-        let mut precise = TimestampPolicy::new(1_000_000);
+    fn sampled_mode_issues_far_fewer_stamps() {
+        let mut sampled = TimestampPolicy::new(SAMPLE_INTERVAL_NS);
+        let mut precise = TimestampPolicy::new(SAMPLE_INTERVAL_NS);
         precise.set_mode(TimestampMode::Precise);
+        let mut sampled_stamps = std::collections::BTreeSet::new();
+        let mut precise_stamps = std::collections::BTreeSet::new();
         for now in (0..10_000_000u64).step_by(1000) {
-            sampled.stamp(now);
-            precise.stamp(now);
+            sampled_stamps.insert(sampled.stamp(now));
+            precise_stamps.insert(precise.stamp(now));
         }
-        assert!(sampled.clock_reads() * 100 <= precise.clock_reads());
+        assert_eq!(precise_stamps.len(), 10_000);
+        assert_eq!(sampled_stamps.len(), 10, "one stamp per 1 ms interval");
+        assert!(sampled_stamps.len() * 100 <= precise_stamps.len());
+    }
+
+    /// The stamp each probe `now` would get next, in both modes, from a
+    /// copy of `p`: two policies whose probes agree are in the same state
+    /// as far as any later stamp can tell.
+    fn probe(p: &TimestampPolicy, after: u64, interval: u64) -> Vec<u64> {
+        let offsets = [0, 1, interval - 1, interval, interval + 1, 3 * interval];
+        [TimestampMode::Sampled, TimestampMode::Precise]
+            .into_iter()
+            .flat_map(|mode| {
+                offsets.iter().map(move |&d| {
+                    let mut q = p.clone();
+                    q.set_mode(mode);
+                    q.stamp(after + d)
+                })
+            })
+            .collect()
     }
 
     /// The closed-form batch stamper must agree with the sequential
-    /// policy on every monotone emission sequence — per-record stamps,
-    /// final sample state, and clock-read count — even when records are
-    /// replayed stripe by stripe instead of in global time order.
+    /// policy on every monotone emission sequence — per-record stamps and
+    /// the state left for the next batch — even when records are replayed
+    /// stripe by stripe instead of in global time order.
     #[test]
     fn batch_stamper_matches_sequential_policy() {
         const INTERVAL: u64 = 1_000;
@@ -375,10 +364,11 @@ mod tests {
                 }
                 batch_policy.commit_batch(stamper);
                 assert_eq!(got, expected, "stamps diverged in chunk {chunk_idx}");
+                let last = *chunk.last().unwrap();
                 assert_eq!(
-                    batch_policy.clock_reads(),
-                    seq_policy.clock_reads(),
-                    "clock reads diverged in chunk {chunk_idx}"
+                    probe(&batch_policy, last, INTERVAL),
+                    probe(&seq_policy, last, INTERVAL),
+                    "policy state diverged after chunk {chunk_idx}"
                 );
             }
         }
@@ -388,10 +378,10 @@ mod tests {
     fn empty_batch_leaves_policy_untouched() {
         let mut p = TimestampPolicy::new(1_000);
         p.stamp(5_500);
-        let before_reads = p.clock_reads();
+        let before = probe(&p, 5_500, 1_000);
         let stamper = p.begin_batch();
         p.commit_batch(stamper);
-        assert_eq!(p.clock_reads(), before_reads);
+        assert_eq!(probe(&p, 5_500, 1_000), before);
         assert_eq!(p.stamp(5_600), 5_000);
     }
 }

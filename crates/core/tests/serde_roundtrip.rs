@@ -13,7 +13,9 @@ fn config_roundtrips_through_json() {
     assert_eq!(back.detector.slo_latency_ns, 123_456);
     assert_eq!(back.policy, PolicyKind::CurrentUsage);
     assert_eq!(back.cancel_min_interval_ns, cfg.cancel_min_interval_ns);
-    assert_eq!(back.progress_floor, cfg.progress_floor);
+    assert_eq!(back.detector.min_contention, cfg.detector.min_contention);
+    assert_eq!(back.ingest_stripes, cfg.ingest_stripes);
+    assert_eq!(back.ingest_stripe_capacity, cfg.ingest_stripe_capacity);
     assert!(back.validate().is_ok());
 }
 

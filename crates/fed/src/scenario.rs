@@ -1,13 +1,14 @@
 //! Scripted cascading-overload scenarios across a federated topology.
 //!
 //! The topology is a frontend tier (`n0`) fanning out to one or more
-//! backend tiers over [`FedEdge`]s, all on one virtual clock. Every root
-//! request registers on the frontend and opens identity-carrying proxy
-//! tasks on the backends; a hog's proxy then convoys a backend shard
-//! while innocent victims fan in behind it. The backend's detector blames
-//! the proxy, the blame table resolves it to the *remote root*, and the
-//! cancellation propagates upstream — through seeded edge faults
-//! ([`EdgeFaultPlan`]) — until the frontend cancels the root end to end.
+//! backend tiers over [`FedEdge`](atropos_substrate::FedEdge)s, all on
+//! one virtual clock. Every root request registers on the frontend and
+//! opens identity-carrying proxy tasks on the backends; a hog's proxy
+//! then convoys a backend shard while innocent victims fan in behind it.
+//! The backend's detector blames the proxy, the blame table resolves it
+//! to the *remote root*, and the cancellation propagates upstream —
+//! through seeded edge faults ([`EdgeFaultPlan`]) — until the frontend
+//! cancels the root end to end.
 //!
 //! Per tick, every node's I1–I8 are checked by its own
 //! [`InvariantChecker`] and the cross-edge blame-conservation invariant

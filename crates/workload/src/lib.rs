@@ -12,7 +12,7 @@
 //!
 //! - [`toml`] — a dependency-free parser for the TOML subset the
 //!   descriptor files use (the environment vendors no external crates);
-//! - [`descriptor`] — the typed schema ([`WorkloadDescriptor`]) with
+//! - [`descriptor`](mod@descriptor) — the typed schema ([`WorkloadDescriptor`]) with
 //!   strict validation: unknown keys, missing stanzas and bad ramps are
 //!   rejected with the offending line and field;
 //! - [`corpus`] — the checked-in descriptor files, embedded and parsed

@@ -18,7 +18,7 @@
 //! Not supported (rejected with an error naming the line): dotted keys,
 //! inline tables, multi-line strings/arrays, literal strings, dates,
 //! hex/octal/binary integers. The descriptor schema layer
-//! ([`crate::descriptor`]) then rejects unknown *keys* on top of this
+//! ([`crate::descriptor`](mod@crate::descriptor)) then rejects unknown *keys* on top of this
 //! syntactic strictness.
 
 use std::fmt;

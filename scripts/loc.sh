@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Non-test Rust line count per crate: every line of `crates/*/src/**/*.rs`
-# up to a file's first `#[cfg(test)]` (unit-test modules sit at the end of
-# a file in this workspace). `tests/`, `benches/` and `examples/` are not
-# counted. ROADMAP counts net-negative line counts as a success metric;
+# up to a file's first `#[cfg(test)]` item (unit-test modules sit at the
+# end of a file in this workspace). A `#[cfg(test)]` on a `use` line is a
+# test-only import, not the test tail: those two lines are skipped and
+# counting goes on. `tests/`, `benches/` and `examples/` are not counted. ROADMAP counts net-negative line counts as a success metric;
 # this is the ruler, so a PR that claims a reduction quotes this table
 # before and after.
 #
@@ -22,7 +23,13 @@ fi
 
 count() {
     find "$@" -name '*.rs' -print0 | sort -z |
-        xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n+0}'
+        xargs -0 awk '
+            FNR == 1 { tail = 0; attr = 0 }
+            tail { next }
+            attr { attr = 0; if ($0 !~ /^use /) tail = 1; next }
+            /^#\[cfg\(test\)\]/ { attr = 1; next }
+            { n++ }
+            END { print n + 0 }'
 }
 
 if [ "$#" -gt 0 ]; then
