@@ -26,25 +26,13 @@ use crate::ids::RequestId;
 use crate::request::{Outcome, Request};
 use crate::server::ResourceGroupDef;
 
-/// Virtual-time cost per trace event, modeling the instrumentation
-/// overhead measured in §5.5: cheap amortized timestamps under normal
-/// load, per-event `rdtsc` plus estimator work under potential overload.
-#[derive(Debug, Clone, Copy)]
-pub struct OverheadModel {
-    /// Cost per event in sampled-timestamp mode (ns).
-    pub sampled_ns: u64,
-    /// Cost per event in precise-timestamp mode (ns).
-    pub precise_ns: u64,
-}
+/// Virtual-time cost per trace event in sampled-timestamp mode: the
+/// cheap amortized timestamps of normal load, as measured in §5.5.
+const SAMPLED_EVENT_OVERHEAD_NS: u64 = 25;
 
-impl Default for OverheadModel {
-    fn default() -> Self {
-        Self {
-            sampled_ns: 25,
-            precise_ns: 450,
-        }
-    }
-}
+/// Virtual-time cost per trace event in precise-timestamp mode: a
+/// per-event `rdtsc` plus estimator work under potential overload (§5.5).
+const PRECISE_EVENT_OVERHEAD_NS: u64 = 450;
 
 /// The controller's side of the cancellation contract: decisions arriving
 /// from the runtime are buffered and drained into server [`Action`]s on
@@ -80,8 +68,6 @@ pub struct AtroposController {
     cancel_buf: Arc<Mutex<Vec<u64>>>,
     reexec_buf: Arc<Mutex<Vec<u64>>>,
     drop_buf: Arc<Mutex<Vec<u64>>>,
-    overhead: OverheadModel,
-    zero_overhead: bool,
     /// Admission controller consulted for *regular* (demand) overload —
     /// the "other overload control mechanisms in place" the paper
     /// delegates to when no application resource is bottlenecked (§3.3).
@@ -147,8 +133,6 @@ impl AtroposController {
             cancel_buf,
             reexec_buf,
             drop_buf,
-            overhead: OverheadModel::default(),
-            zero_overhead: false,
             fallback: None,
         }
     }
@@ -159,19 +143,6 @@ impl AtroposController {
     /// *regular* and this controller's decisions apply.
     pub fn with_fallback(mut self, fallback: Box<dyn Controller>) -> Self {
         self.fallback = Some(fallback);
-        self
-    }
-
-    /// Overrides the overhead model.
-    pub fn with_overhead(mut self, overhead: OverheadModel) -> Self {
-        self.overhead = overhead;
-        self
-    }
-
-    /// Disables the overhead model entirely (for experiments that isolate
-    /// policy behaviour from tracing cost).
-    pub fn without_overhead(mut self) -> Self {
-        self.zero_overhead = true;
         self
     }
 
@@ -278,12 +249,9 @@ impl Controller for AtroposController {
     }
 
     fn per_event_overhead_ns(&self) -> u64 {
-        if self.zero_overhead {
-            return 0;
-        }
         match self.rt.timestamp_mode() {
-            TimestampMode::Sampled => self.overhead.sampled_ns,
-            TimestampMode::Precise => self.overhead.precise_ns,
+            TimestampMode::Sampled => SAMPLED_EVENT_OVERHEAD_NS,
+            TimestampMode::Precise => PRECISE_EVENT_OVERHEAD_NS,
         }
     }
 }
@@ -374,12 +342,10 @@ mod tests {
     #[test]
     fn overhead_follows_timestamp_mode() {
         let c = controller();
-        assert_eq!(
-            c.per_event_overhead_ns(),
-            OverheadModel::default().sampled_ns
-        );
-        let z = controller().without_overhead();
-        assert_eq!(z.per_event_overhead_ns(), 0);
+        assert_eq!(c.rt.timestamp_mode(), TimestampMode::Sampled);
+        assert_eq!(c.per_event_overhead_ns(), 25);
+        c.rt.set_timestamp_mode(TimestampMode::Precise);
+        assert_eq!(c.per_event_overhead_ns(), 450);
     }
 
     /// Drives a lock-hog overload purely through the controller hooks and

@@ -69,11 +69,6 @@ impl Heap {
         }
     }
 
-    /// Live bytes retained by `req`.
-    pub fn retained_by(&self, req: RequestId) -> u64 {
-        self.per_req.get(&req).copied().unwrap_or(0)
-    }
-
     /// Current occupancy (live + garbage).
     pub fn used(&self) -> u64 {
         self.live + self.garbage
@@ -159,7 +154,7 @@ mod tests {
         assert_eq!(out.gc_pause_ns, None);
         assert_eq!(h.live(), 1 << 20);
         assert_eq!(h.used(), 2 << 20); // garbage_factor = 1
-        assert_eq!(h.retained_by(R), 1 << 20);
+        assert_eq!(h.release_all(R), 1 << 20);
     }
 
     #[test]

@@ -65,12 +65,6 @@ impl LockManager {
         }
     }
 
-    /// Adds one more lock and returns its id.
-    pub fn add_lock(&mut self) -> LockId {
-        self.locks.push(LockState::default());
-        LockId(self.locks.len() as u32 - 1)
-    }
-
     /// Number of locks.
     pub fn len(&self) -> usize {
         self.locks.len()
@@ -229,18 +223,6 @@ mod tests {
         m.acquire(L, RequestId(1), LockMode::Exclusive);
         assert!(m.release(L, RequestId(1)).is_empty());
         assert!(m.holders(L).is_empty());
-    }
-
-    #[test]
-    fn add_lock_extends_namespace() {
-        let mut m = mgr();
-        let l2 = m.add_lock();
-        assert_eq!(l2, LockId(2));
-        assert_eq!(m.len(), 3);
-        assert_eq!(
-            m.acquire(l2, RequestId(5), LockMode::Exclusive),
-            AcquireResult::Granted
-        );
     }
 
     #[test]

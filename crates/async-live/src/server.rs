@@ -223,8 +223,9 @@ impl Drop for PoolShell {
 mod tests {
     use super::*;
     use atropos::AtroposConfig;
-    use atropos_live::{CulpritKind, RequestClass};
+    use atropos_live::RequestClass;
     use atropos_sim::SystemClock;
+    use atropos_substrate::ScenarioFamily;
     use std::sync::atomic::Ordering;
 
     fn ctx_with(cfg: LiveConfig) -> (Arc<AsyncServerCtx>, Arc<Executor>) {
@@ -284,7 +285,7 @@ mod tests {
         let (ctx, ex) = ctx_with(cfg);
         let pool = TaskPool::new(ctx.clone(), ex.clone());
         pool.submit(Request {
-            class: RequestClass::Culprit(CulpritKind::LockHog),
+            class: RequestClass::Culprit(ScenarioFamily::LockHog),
             key: atropos_live::CULPRIT_KEY_BASE,
             enqueued_ns: ctx.clock.now_ns(),
         });

@@ -13,11 +13,9 @@ use std::time::{Duration, Instant};
 use atropos::ticker::Ticker;
 use atropos::{AtroposConfig, AtroposRuntime};
 use atropos_async::{run, Executor};
-use atropos_live::{
-    live_atropos_config, ControlMode, CulpritKind, Gate, LiveConfig, CULPRIT_KEY_BASE,
-};
+use atropos_live::{live_atropos_config, ControlMode, Gate, LiveConfig, CULPRIT_KEY_BASE};
 use atropos_sim::SystemClock;
-use atropos_substrate::{ProbePort, RuntimePort};
+use atropos_substrate::{ProbePort, RuntimePort, ScenarioFamily};
 
 fn overload_config() -> LiveConfig {
     LiveConfig {
@@ -26,7 +24,7 @@ fn overload_config() -> LiveConfig {
         interarrival: Duration::from_millis(2),
         culprit_after: Duration::from_millis(400),
         culprit_every: None,
-        culprit_kind: CulpritKind::LockHog,
+        culprit_kind: ScenarioFamily::LockHog,
         culprit_hold: Duration::from_millis(1200),
         checkpoint: Duration::from_millis(1),
         tick_period: Duration::from_millis(50),

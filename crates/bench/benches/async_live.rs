@@ -13,8 +13,9 @@ use std::time::{Duration, Instant};
 
 use atropos::{AtroposConfig, AtroposRuntime};
 use atropos_async::{run, Executor};
-use atropos_live::{live_atropos_config, ControlMode, CulpritKind, Gate, LiveConfig};
+use atropos_live::{live_atropos_config, ControlMode, Gate, LiveConfig};
 use atropos_sim::SystemClock;
+use atropos_substrate::ScenarioFamily;
 
 fn emit(id: &str, ns: f64, iters: u64) {
     println!("BENCHRESULT {{\"id\":\"{id}\",\"ns_per_iter\":{ns},\"iters\":{iters}}}");
@@ -27,7 +28,7 @@ fn smoke_config() -> LiveConfig {
         interarrival: Duration::from_millis(2),
         culprit_after: Duration::from_millis(200),
         culprit_every: None,
-        culprit_kind: CulpritKind::LockHog,
+        culprit_kind: ScenarioFamily::LockHog,
         // Longer than the run: without control the convoy lasts until the
         // harness raises the stop flag (~500 ms of blocked victims).
         culprit_hold: Duration::from_secs(2),

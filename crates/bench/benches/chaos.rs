@@ -11,8 +11,9 @@
 use std::sync::Arc;
 
 use atropos::{AtroposConfig, AtroposRuntime, ResourceType};
-use atropos_chaos::{run_scenario, Fault, FaultInjector, FaultPlan, ScenarioKind};
+use atropos_chaos::{run_scenario, Fault, FaultInjector, FaultPlan};
 use atropos_sim::{Clock, SystemClock};
+use atropos_substrate::ScenarioFamily;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -81,10 +82,10 @@ fn bench_injector_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("chaos_scenario");
     g.sample_size(10);
     g.bench_function("lock_hog_quiet_checked", |b| {
-        b.iter(|| run_scenario(ScenarioKind::LockHog, &FaultPlan::quiet(11), 1))
+        b.iter(|| run_scenario(ScenarioFamily::LockHog, &FaultPlan::quiet(11), 1))
     });
     g.bench_function("lock_hog_sampled_checked", |b| {
-        b.iter(|| run_scenario(ScenarioKind::LockHog, &FaultPlan::sample(11), 1))
+        b.iter(|| run_scenario(ScenarioFamily::LockHog, &FaultPlan::sample(11), 1))
     });
     g.finish();
 }

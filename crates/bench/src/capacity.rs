@@ -22,11 +22,11 @@
 //! the property `tests/capacity_adaptive.rs` locks in.
 
 use atropos::AtroposConfig;
-use atropos_app::glue::AtroposController;
 use atropos_app::server::SimServer;
 use atropos_app::NoControl;
 use atropos_live::{live_atropos_config, ControlMode, LiveConfig};
 use atropos_scenarios::cases::{build_case, CaseParams};
+use atropos_scenarios::run_atropos;
 use atropos_sim::SimTime;
 use atropos_substrate::ScenarioDescriptor;
 use atropos_workload::{CaseDescriptor, SubstrateSel, WorkloadDescriptor};
@@ -186,10 +186,7 @@ fn sim_step(
     let mut cfg =
         AtroposConfig::default().with_slo_ns(((nominal_slo_ns as f64) * knobs.slo_scale) as u64);
     cfg.cancel_min_interval_ns = knobs.cancel_min_interval_ns;
-    let metrics = SimServer::new_with(built.server, built.workload, |clock, groups| {
-        Box::new(AtroposController::new(cfg, clock, groups, true))
-    })
-    .run(opts.sim_duration(), opts.sim_warmup());
+    let metrics = run_atropos(built, cfg, opts.sim_duration(), opts.sim_warmup(), false).metrics;
     let p99_ns = metrics.latency.p99();
     let disturb_ns = params.disturb_at.as_nanos();
     StepOutcome {

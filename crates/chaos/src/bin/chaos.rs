@@ -23,11 +23,11 @@
 
 use std::process::ExitCode;
 
-use atropos_chaos::{run_async_scenario, run_checked, FaultPlan, ScenarioKind};
+use atropos_chaos::{run_async_scenario, run_checked, FaultPlan};
 use atropos_substrate::ScenarioFamily;
 
 struct Args {
-    scenarios: Vec<ScenarioKind>,
+    scenarios: Vec<ScenarioFamily>,
     async_live: bool,
     seed: u64,
     plans: u64,
@@ -38,7 +38,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        scenarios: ScenarioKind::ALL.to_vec(),
+        scenarios: ScenarioFamily::ALL.to_vec(),
         async_live: false,
         seed: std::env::var("CHAOS_SEED")
             .ok()
@@ -56,10 +56,10 @@ fn parse_args() -> Result<Args, String> {
             "--scenario" => {
                 let v = value("--scenario")?;
                 args.scenarios = match v.as_str() {
-                    "lock_hog" | "lock-hog" => vec![ScenarioKind::LockHog],
-                    "buffer_scan" | "buffer-scan" => vec![ScenarioKind::BufferScan],
-                    "ticket_queue" | "ticket-queue" => vec![ScenarioKind::TicketQueue],
-                    "all" => ScenarioKind::ALL.to_vec(),
+                    "lock_hog" | "lock-hog" => vec![ScenarioFamily::LockHog],
+                    "buffer_scan" | "buffer-scan" => vec![ScenarioFamily::BufferScan],
+                    "ticket_queue" | "ticket-queue" => vec![ScenarioFamily::TicketQueue],
+                    "all" => ScenarioFamily::ALL.to_vec(),
                     "async_live" | "async-live" => {
                         args.async_live = true;
                         vec![]

@@ -53,7 +53,8 @@ use atropos_app::ids::ClassId;
 use atropos_live::{
     live_atropos_config, run, ControlMode, LiveConfig, LiveReport, CULPRIT_KEY_BASE,
 };
-use atropos_scenarios::chaos::{run_variant, variant_for, ChaosCulprit};
+use atropos_scenarios::chaos::{run_variant, variant_for};
+use atropos_scenarios::RunConfig;
 use atropos_substrate::{ScenarioDescriptor, ScenarioFamily};
 use atropos_workload::family_descriptor;
 
@@ -82,29 +83,25 @@ pub struct DecisionTrace {
     pub first_cancel_delay_ns: Option<u64>,
 }
 
-/// The chaos-variant culprit a scenario family maps onto in the sim.
-pub fn family_culprit(family: ScenarioFamily) -> ChaosCulprit {
-    match family {
-        ScenarioFamily::LockHog => ChaosCulprit::LockHog,
-        ScenarioFamily::BufferScan => ChaosCulprit::BufferScan,
-        ScenarioFamily::TicketQueue => ChaosCulprit::TicketQueue,
-    }
-}
-
 /// Runs a scenario family through the simulator at its descriptor's
 /// pinned seed.
 pub fn sim_trace_for(family: ScenarioFamily) -> DecisionTrace {
-    sim_trace(family_culprit(family), family_descriptor(family).sim_seed)
+    sim_trace(family, family_descriptor(family).sim_seed)
 }
 
-/// Runs a chaos variant through the simulator and extracts its decision
-/// trace from the server's cancellation log. The victim count is scoped
-/// to the decision episode (see the module docs): records after the
-/// first culprit cancellation are post-resolution load regulation in the
-/// sustained sim workload, not part of the decision under comparison.
-pub fn sim_trace(culprit: ChaosCulprit, seed: u64) -> DecisionTrace {
-    let variant = variant_for(culprit);
-    let run = run_variant(&variant, seed);
+/// Runs a family's chaos variant through the simulator and extracts its
+/// decision trace from the server's cancellation log. The run uses the
+/// quick configuration (7 s of virtual time): the differential compares
+/// decision identity, not figure-grade latency curves. The victim count
+/// is scoped to the decision episode (see the module docs): records
+/// after the first culprit cancellation are post-resolution load
+/// regulation in the sustained sim workload, not part of the decision
+/// under comparison.
+pub fn sim_trace(family: ScenarioFamily, seed: u64) -> DecisionTrace {
+    let variant = variant_for(family);
+    let rc = RunConfig::quick(seed);
+    let run = run_variant(&variant, &rc);
+    let disturb_ns = rc.case_params().disturb_at.as_nanos();
     let log = &run.metrics.cancel_log;
     let is_culprit = |class: ClassId| variant.is_culprit_class(class);
     let culprit_cancels = log.iter().filter(|r| is_culprit(r.class)).count() as u64;
@@ -116,7 +113,7 @@ pub fn sim_trace(culprit: ChaosCulprit, seed: u64) -> DecisionTrace {
         first_is_culprit: log.first().map(|r| is_culprit(r.class)).unwrap_or(false),
         first_cancel_delay_ns: log
             .first()
-            .map(|r| r.at.as_nanos().saturating_sub(run.disturb_at.as_nanos())),
+            .map(|r| r.at.as_nanos().saturating_sub(disturb_ns)),
     }
 }
 

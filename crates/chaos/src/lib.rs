@@ -39,6 +39,8 @@ pub mod scenario;
 
 use std::fmt;
 
+use atropos_substrate::ScenarioFamily;
+
 pub use async_leg::{run_async_scenario, AsyncLegOutcome};
 pub use checker::{
     check_detector_monotonicity, check_edge_blame, check_episode_coverage, EdgeCancelObservation,
@@ -46,16 +48,14 @@ pub use checker::{
 };
 pub use injector::{CancelObservation, FaultInjector, InjectionLog, Truth};
 pub use plan::{Fault, FaultPlan};
-pub use scenario::{
-    run_scenario, run_scenario_with_ingest, ScenarioKind, ScenarioOutcome, HOG_KEY,
-};
+pub use scenario::{run_scenario, run_scenario_with_ingest, ScenarioOutcome, HOG_KEY};
 
 /// A reproducible scenario failure: the violated invariant plus the
 /// minimized plan that still reproduces it.
 #[derive(Debug)]
 pub struct FailureReport {
     /// Scenario that failed.
-    pub scenario: ScenarioKind,
+    pub scenario: ScenarioFamily,
     /// The plan as originally sampled.
     pub original: FaultPlan,
     /// The smallest plan (greedy delta-debugging) still failing.
@@ -84,7 +84,7 @@ impl fmt::Display for FailureReport {
 /// the plan and returns a [`FailureReport`] carrying seed, minimized
 /// plan, and the violation.
 pub fn run_checked(
-    scenario: ScenarioKind,
+    scenario: ScenarioFamily,
     plan: &FaultPlan,
     load_scale: u64,
 ) -> Result<ScenarioOutcome, Box<FailureReport>> {

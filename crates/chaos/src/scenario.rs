@@ -1,7 +1,7 @@
 //! Seeded, scripted overload scenarios driven through the fault injector.
 //!
-//! The scenarios mirror the live harness's culprit kinds
-//! (`atropos_live::CulpritKind`): a **lock hog** convoy (a long task
+//! The scenarios mirror the live harness's culprits, one per
+//! [`ScenarioFamily`]: a **lock hog** convoy (a long task
 //! holds the table lock while victims queue behind it), a **buffer
 //! scan** (a sweep accumulates buffer-pool pages while victims stall on
 //! evictions), and a **ticket queue** hog (one task drains a bounded
@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use atropos::{AtroposConfig, AtroposRuntime, ResourceType, TaskId};
 use atropos_sim::{Clock, SimRng, SimTime, VirtualClock};
-use atropos_substrate::{DrainEveryEmit, RuntimePort};
+use atropos_substrate::{DrainEveryEmit, RuntimePort, ScenarioFamily};
 use parking_lot::Mutex;
 
 use crate::checker::{check_episode_coverage, InvariantChecker, Violation};
@@ -36,13 +36,6 @@ pub const WINDOWS: u64 = 12;
 pub const HOG_START_WINDOW: u64 = 2;
 /// Task key of the culprit; victim keys count up from 100 and stay below.
 pub const HOG_KEY: u64 = 9_000;
-
-/// Which scripted culprit to run. This *is* the substrate's shared
-/// [`ScenarioFamily`](atropos_substrate::ScenarioFamily): the scripted
-/// scenarios, the sim case variants and the live configurations all key
-/// off one vocabulary, so the differential can drive all three from the
-/// same descriptor.
-pub use atropos_substrate::ScenarioFamily as ScenarioKind;
 
 /// What one scenario run observed.
 #[derive(Debug)]
@@ -81,7 +74,7 @@ struct Victim {
 /// Runs one scripted scenario under `plan` and checks every invariant
 /// after every tick. `load_scale` multiplies the arrival rate (used by
 /// the detector-monotonicity check); 1 is the base load.
-pub fn run_scenario(kind: ScenarioKind, plan: &FaultPlan, load_scale: u64) -> ScenarioOutcome {
+pub fn run_scenario(kind: ScenarioFamily, plan: &FaultPlan, load_scale: u64) -> ScenarioOutcome {
     run_scenario_with_ingest(kind, plan, load_scale, false)
 }
 
@@ -93,7 +86,7 @@ pub fn run_scenario(kind: ScenarioKind, plan: &FaultPlan, load_scale: u64) -> Sc
 /// an ingest bug — the differential in `tests/ingest_reference.rs` runs
 /// the corpus both ways and demands bit-identical outcomes.
 pub fn run_scenario_with_ingest(
-    kind: ScenarioKind,
+    kind: ScenarioFamily,
     plan: &FaultPlan,
     load_scale: u64,
     drain_every_emit: bool,
@@ -122,9 +115,9 @@ pub fn run_scenario_with_ingest(
         });
     }
     let res = match kind {
-        ScenarioKind::LockHog => rt.register_resource("table_lock", ResourceType::Lock),
-        ScenarioKind::BufferScan => rt.register_resource("buffer_pool", ResourceType::Memory),
-        ScenarioKind::TicketQueue => rt.register_resource("tickets", ResourceType::Queue),
+        ScenarioFamily::LockHog => rt.register_resource("table_lock", ResourceType::Lock),
+        ScenarioFamily::BufferScan => rt.register_resource("buffer_pool", ResourceType::Memory),
+        ScenarioFamily::TicketQueue => rt.register_resource("tickets", ResourceType::Queue),
     };
     let mut rng = SimRng::new(plan.seed ^ 0x5CE2_A210);
     let mut checker = InvariantChecker::new();
@@ -173,22 +166,22 @@ pub fn run_scenario_with_ingest(
             inj.unit_started(h);
             inj.report_progress(h, 5, 100);
             match kind {
-                ScenarioKind::LockHog => {
+                ScenarioFamily::LockHog => {
                     inj.get_resource(h, res, 1);
                     hog_held = 1;
                 }
-                ScenarioKind::TicketQueue => {
+                ScenarioFamily::TicketQueue => {
                     // The hog takes the whole (two-ticket) pool.
                     inj.get_resource(h, res, 2);
                     hog_held = 2;
                 }
-                ScenarioKind::BufferScan => {}
+                ScenarioFamily::BufferScan => {}
             }
             hog = Some(h);
         }
         // The scan sweeps more of the pool every window it survives.
         if let Some(h) = hog {
-            if kind == ScenarioKind::BufferScan {
+            if kind == ScenarioFamily::BufferScan {
                 clock.advance_to(at(start + 3 * MS));
                 inj.get_resource(h, res, 60);
                 hog_held += 60;
@@ -220,8 +213,8 @@ pub fn run_scenario_with_ingest(
             let t = inj.create_cancel(Some(key));
             inj.unit_started(t);
             let amount = match kind {
-                ScenarioKind::LockHog | ScenarioKind::TicketQueue => 1,
-                ScenarioKind::BufferScan => 2 + rng.below(4),
+                ScenarioFamily::LockHog | ScenarioFamily::TicketQueue => 1,
+                ScenarioFamily::BufferScan => 2 + rng.below(4),
             };
             inj.slow_by_resource(t, res, amount);
             if hog_active {
@@ -295,7 +288,7 @@ mod tests {
 
     #[test]
     fn quiet_lock_hog_cancels_the_hog_and_only_the_hog() {
-        let out = run_scenario(ScenarioKind::LockHog, &FaultPlan::quiet(1), 1);
+        let out = run_scenario(ScenarioFamily::LockHog, &FaultPlan::quiet(1), 1);
         assert!(out.violation.is_none(), "{:?}", out.violation);
         assert!(out.hog_canceled, "hog survived: {out:?}");
         assert!(!out.victim_canceled, "victim canceled: {out:?}");
@@ -306,7 +299,7 @@ mod tests {
 
     #[test]
     fn quiet_buffer_scan_cancels_the_scan_and_only_the_scan() {
-        let out = run_scenario(ScenarioKind::BufferScan, &FaultPlan::quiet(1), 1);
+        let out = run_scenario(ScenarioFamily::BufferScan, &FaultPlan::quiet(1), 1);
         assert!(out.violation.is_none(), "{:?}", out.violation);
         assert!(out.hog_canceled, "scan survived: {out:?}");
         assert!(!out.victim_canceled, "victim canceled: {out:?}");
@@ -314,7 +307,7 @@ mod tests {
 
     #[test]
     fn quiet_ticket_queue_cancels_the_hog_and_only_the_hog() {
-        let out = run_scenario(ScenarioKind::TicketQueue, &FaultPlan::quiet(1), 1);
+        let out = run_scenario(ScenarioFamily::TicketQueue, &FaultPlan::quiet(1), 1);
         assert!(out.violation.is_none(), "{:?}", out.violation);
         assert!(out.hog_canceled, "hog survived: {out:?}");
         assert!(!out.victim_canceled, "victim canceled: {out:?}");
@@ -324,8 +317,8 @@ mod tests {
     #[test]
     fn scenario_is_deterministic() {
         let plan = FaultPlan::sample(1234);
-        let a = run_scenario(ScenarioKind::LockHog, &plan, 1);
-        let b = run_scenario(ScenarioKind::LockHog, &plan, 1);
+        let a = run_scenario(ScenarioFamily::LockHog, &plan, 1);
+        let b = run_scenario(ScenarioFamily::LockHog, &plan, 1);
         assert_eq!(a.canceled_keys, b.canceled_keys);
         assert_eq!(a.issued_keys, b.issued_keys);
         assert_eq!(a.candidates, b.candidates);

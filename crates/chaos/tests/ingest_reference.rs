@@ -17,7 +17,8 @@
 //! The only normalization allowed: per-event application never fills a
 //! ring and so never counts a mid-window flush.
 
-use atropos_chaos::{run_scenario_with_ingest, FaultPlan, ScenarioKind, ScenarioOutcome};
+use atropos_chaos::{run_scenario_with_ingest, FaultPlan, ScenarioOutcome};
+use atropos_substrate::ScenarioFamily;
 
 /// Everything the application can observe from one run, in a comparable
 /// form. `mid_window_flushes` is carried separately so the comparison
@@ -59,7 +60,7 @@ fn fingerprint(out: &ScenarioOutcome) -> Fingerprint {
 /// Runs one (scenario, plan, load) cell deferred and drained after every
 /// emit and demands identical fingerprints, normalizing only the flush
 /// counter (which per-event application cannot have).
-fn replay_matches_per_event(kind: ScenarioKind, plan: &FaultPlan, load: u64) {
+fn replay_matches_per_event(kind: ScenarioFamily, plan: &FaultPlan, load: u64) {
     let per_event = fingerprint(&run_scenario_with_ingest(kind, plan, load, true));
     let mut deferred = fingerprint(&run_scenario_with_ingest(kind, plan, load, false));
     assert_eq!(per_event.mid_window_flushes, 0);
@@ -70,10 +71,10 @@ fn replay_matches_per_event(kind: ScenarioKind, plan: &FaultPlan, load: u64) {
     );
 }
 
-const KINDS: [ScenarioKind; 3] = [
-    ScenarioKind::LockHog,
-    ScenarioKind::BufferScan,
-    ScenarioKind::TicketQueue,
+const KINDS: [ScenarioFamily; 3] = [
+    ScenarioFamily::LockHog,
+    ScenarioFamily::BufferScan,
+    ScenarioFamily::TicketQueue,
 ];
 
 /// The healthy corpus: every scenario kind under quiet plans and two

@@ -7,13 +7,14 @@
 
 use atropos_chaos::{
     check_detector_monotonicity, run_checked, run_scenario, Fault, FaultPlan, InvariantChecker,
-    ScenarioKind, HOG_KEY,
+    HOG_KEY,
 };
+use atropos_substrate::ScenarioFamily;
 use proptest::prelude::*;
 
 /// 128 sampled plans per scenario (> the 100 the acceptance bar asks
 /// for), each fully invariant-checked after every tick.
-fn soak(kind: ScenarioKind) {
+fn soak(kind: ScenarioFamily) {
     for seed in 0..128u64 {
         if let Err(report) = run_checked(kind, &FaultPlan::sample(seed), 1) {
             panic!("{report}");
@@ -23,12 +24,12 @@ fn soak(kind: ScenarioKind) {
 
 #[test]
 fn invariants_hold_across_128_fault_plans_lock_hog() {
-    soak(ScenarioKind::LockHog);
+    soak(ScenarioFamily::LockHog);
 }
 
 #[test]
 fn invariants_hold_across_128_fault_plans_buffer_scan() {
-    soak(ScenarioKind::BufferScan);
+    soak(ScenarioFamily::BufferScan);
 }
 
 proptest! {
@@ -36,7 +37,7 @@ proptest! {
     /// every invariant, in both scenarios.
     #[test]
     fn invariants_hold_for_sampled_plans(seed in any::<u64>()) {
-        for kind in ScenarioKind::ALL {
+        for kind in ScenarioFamily::ALL {
             if let Err(report) = run_checked(kind, &FaultPlan::sample(seed), 1) {
                 panic!("{report}");
             }
@@ -53,8 +54,8 @@ proptest! {
             seed,
             faults: vec![Fault::FailCancel { budget: u64::MAX }],
         };
-        let base = run_scenario(ScenarioKind::LockHog, &plan, 1);
-        let loaded = run_scenario(ScenarioKind::LockHog, &plan, 2);
+        let base = run_scenario(ScenarioFamily::LockHog, &plan, 1);
+        let loaded = run_scenario(ScenarioFamily::LockHog, &plan, 2);
         prop_assert!(base.violation.is_none(), "base: {:?}", base.violation);
         prop_assert!(loaded.violation.is_none(), "loaded: {:?}", loaded.violation);
         if let Err(v) =
@@ -71,7 +72,7 @@ fn swallowed_cancellations_leave_the_convoy_standing_but_invariants_hold() {
         seed: 7,
         faults: vec![Fault::FailCancel { budget: u64::MAX }],
     };
-    let out = run_checked(ScenarioKind::LockHog, &plan, 1).unwrap_or_else(|r| panic!("{r}"));
+    let out = run_checked(ScenarioFamily::LockHog, &plan, 1).unwrap_or_else(|r| panic!("{r}"));
     assert!(
         !out.hog_canceled,
         "initiator failure must suppress delivery"
@@ -94,7 +95,7 @@ fn delayed_cancellation_arrives_late_but_still_lands_on_the_hog() {
         seed: 7,
         faults: vec![Fault::DelayCancel { ticks: 2 }],
     };
-    let out = run_checked(ScenarioKind::LockHog, &plan, 1).unwrap_or_else(|r| panic!("{r}"));
+    let out = run_checked(ScenarioFamily::LockHog, &plan, 1).unwrap_or_else(|r| panic!("{r}"));
     assert!(out.hog_canceled, "delayed cancel never delivered: {out:?}");
     assert!(!out.victim_canceled, "victim canceled: {out:?}");
 }
@@ -139,7 +140,7 @@ fn flight_recorder_accounts_for_swallowed_cancellations() {
         seed: 7,
         faults: vec![Fault::FailCancel { budget: u64::MAX }],
     };
-    let out = run_checked(ScenarioKind::LockHog, &plan, 1).unwrap_or_else(|r| panic!("{r}"));
+    let out = run_checked(ScenarioFamily::LockHog, &plan, 1).unwrap_or_else(|r| panic!("{r}"));
     assert!(out.injection.cancels_failed >= 1, "fault never fired");
     assert_eq!(
         out.metrics.cancels_failed, out.injection.cancels_failed,
@@ -159,7 +160,7 @@ fn flight_recorder_counts_delayed_cancellations_until_delivered() {
         seed: 7,
         faults: vec![Fault::DelayCancel { ticks: 2 }],
     };
-    let out = run_checked(ScenarioKind::LockHog, &plan, 1).unwrap_or_else(|r| panic!("{r}"));
+    let out = run_checked(ScenarioFamily::LockHog, &plan, 1).unwrap_or_else(|r| panic!("{r}"));
     assert!(out.injection.cancels_delayed >= 1, "fault never fired");
     assert_eq!(out.injection.cancels_failed, 0);
     assert!(
@@ -177,13 +178,13 @@ fn episode_coverage_is_falsifiable() {
     // flagged, and the violation must name I8.
     use atropos_chaos::check_episode_coverage;
 
-    let out = run_checked(ScenarioKind::LockHog, &FaultPlan::quiet(1), 1)
+    let out = run_checked(ScenarioFamily::LockHog, &FaultPlan::quiet(1), 1)
         .unwrap_or_else(|r| panic!("{r}"));
     assert!(!out.issued_keys.is_empty(), "quiet run issued no cancels");
     // The real run passes I8 (run_checked already enforced it); an empty
     // episode log must fail it.
     let plan = FaultPlan::quiet(1);
-    let truth_run = atropos_chaos::run_scenario(ScenarioKind::LockHog, &plan, 1);
+    let truth_run = atropos_chaos::run_scenario(ScenarioFamily::LockHog, &plan, 1);
     assert!(truth_run.violation.is_none());
     let err = check_episode_coverage(&truth_from(&truth_run), &[]);
     let err = err.expect_err("empty episode log must violate I8");

@@ -17,21 +17,13 @@ use std::time::Duration;
 
 use crate::runtime::{AtroposRuntime, TickOutcome};
 
-/// Counters the ticker thread accumulates across ticks. All fields are
-/// readable while the ticker runs.
-#[derive(Debug, Default)]
-struct TickerCounters {
-    ticks: AtomicU64,
-    resource_overloads: AtomicU64,
-    regular_overloads: AtomicU64,
-    cancels_issued: AtomicU64,
-}
-
 /// Handle to a running supervisor thread. Dropping the handle stops the
 /// thread and joins it.
 pub struct Ticker {
     stop: Arc<AtomicBool>,
-    counters: Arc<TickerCounters>,
+    /// Ticks completed so far, readable while the ticker runs. What the
+    /// ticks found is counted by the runtime (`RuntimeStats`).
+    ticks: Arc<AtomicU64>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -49,7 +41,7 @@ impl Ticker {
     /// [`Ticker::stop`] (or drop). The first tick fires after one period.
     ///
     /// `on_outcome` is invoked on the supervisor thread after every tick;
-    /// pass `|_| {}` when only the counters are needed.
+    /// pass `|_| {}` when only the tick count is needed.
     pub fn spawn(
         rt: Arc<AtroposRuntime>,
         period: Duration,
@@ -70,63 +62,30 @@ impl Ticker {
         on_outcome: impl Fn(&TickOutcome) + Send + 'static,
     ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(TickerCounters::default());
+        let ticks = Arc::new(AtomicU64::new(0));
         let thread_stop = stop.clone();
-        let thread_counters = counters.clone();
+        let thread_ticks = ticks.clone();
         let handle = std::thread::Builder::new()
             .name("atropos-ticker".into())
             .spawn(move || {
                 while !thread_stop.load(Ordering::Acquire) {
                     std::thread::sleep(period);
                     let outcome = tick();
-                    thread_counters.ticks.fetch_add(1, Ordering::Relaxed);
-                    match &outcome {
-                        TickOutcome::Idle => {}
-                        TickOutcome::RegularOverload => {
-                            thread_counters
-                                .regular_overloads
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        TickOutcome::ResourceOverload { canceled, .. } => {
-                            thread_counters
-                                .resource_overloads
-                                .fetch_add(1, Ordering::Relaxed);
-                            if canceled.is_some() {
-                                thread_counters
-                                    .cancels_issued
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
+                    thread_ticks.fetch_add(1, Ordering::Relaxed);
                     on_outcome(&outcome);
                 }
             })
             .expect("spawn atropos-ticker thread");
         Self {
             stop,
-            counters,
+            ticks,
             handle: Some(handle),
         }
     }
 
     /// Ticks completed so far.
     pub fn ticks(&self) -> u64 {
-        self.counters.ticks.load(Ordering::Relaxed)
-    }
-
-    /// Ticks that confirmed a resource overload.
-    pub fn resource_overloads(&self) -> u64 {
-        self.counters.resource_overloads.load(Ordering::Relaxed)
-    }
-
-    /// Ticks classified as regular (demand) overload.
-    pub fn regular_overloads(&self) -> u64 {
-        self.counters.regular_overloads.load(Ordering::Relaxed)
-    }
-
-    /// Ticks whose resource-overload outcome issued a cancellation.
-    pub fn cancels_issued(&self) -> u64 {
-        self.counters.cancels_issued.load(Ordering::Relaxed)
+        self.ticks.load(Ordering::Relaxed)
     }
 
     /// Signals the thread to stop and joins it. Idempotent; also invoked

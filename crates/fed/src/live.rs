@@ -34,11 +34,13 @@ use atropos::ticker::Ticker;
 use atropos::{AtroposRuntime, TaskKey};
 use atropos_baselines::Dagor;
 use atropos_live::{
-    block_on, generate, live_atropos_config, CancelRegistry, CulpritKind, Gate, LiveConfig,
-    RequestClass, ServerMetrics, Shell, TaskScope, WorkQueue, CULPRIT_KEY_BASE,
+    block_on, generate, live_atropos_config, CancelRegistry, Gate, LiveConfig, RequestClass,
+    ServerMetrics, Shell, TaskScope, WorkQueue, CULPRIT_KEY_BASE,
 };
 use atropos_sim::{Clock, SystemClock};
-use atropos_substrate::{CancelFn, EdgeIdentity, EdgeStats, FedEdge, NodeId, RuntimePort};
+use atropos_substrate::{
+    CancelFn, EdgeIdentity, EdgeStats, FedEdge, NodeId, RuntimePort, ScenarioFamily,
+};
 use parking_lot::Mutex;
 
 /// Control discipline for one federated live run.
@@ -143,7 +145,7 @@ impl FedLiveConfig {
             interarrival: self.interarrival,
             culprit_after: self.culprit_after,
             culprit_every: None,
-            culprit_kind: CulpritKind::LockHog,
+            culprit_kind: ScenarioFamily::LockHog,
             ..LiveConfig::default()
         }
     }

@@ -16,8 +16,9 @@
 
 use std::io::Write as _;
 
-use atropos_chaos::{run_scenario, FaultPlan, ScenarioKind, HOG_KEY};
+use atropos_chaos::{run_scenario, FaultPlan, HOG_KEY};
 use atropos_fed::{run_fed_degenerate, ROOT_HOG_KEY};
+use atropos_substrate::ScenarioFamily;
 
 const SEEDS: [u64; 12] = [1, 2, 3, 5, 7, 11, 13, 42, 99, 1234, 20_250_806, 0xA7F0];
 
@@ -26,7 +27,7 @@ fn degenerate_fed_agrees_with_single_runtime_on_culprit_identity() {
     let mut report = String::new();
     let mut disagreements = 0usize;
     for seed in SEEDS {
-        let single = run_scenario(ScenarioKind::LockHog, &FaultPlan::quiet(seed), 2);
+        let single = run_scenario(ScenarioFamily::LockHog, &FaultPlan::quiet(seed), 2);
         assert!(
             single.violation.is_none(),
             "seed {seed}: single-runtime violation {:?}",

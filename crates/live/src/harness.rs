@@ -20,7 +20,7 @@ use atropos_sim::SystemClock;
 use atropos_substrate::{RuntimePort, ScenarioDescriptor, ScenarioFamily};
 use parking_lot::Mutex;
 
-use crate::server::{worker_loop, CulpritKind, Request, ServerCore, ServerCtx};
+use crate::server::{worker_loop, Request, ServerCore, ServerCtx};
 use crate::token::{CancelToken, Registry, Signal};
 use crate::workload::generate;
 
@@ -55,11 +55,11 @@ pub struct LiveConfig {
     pub culprit_after: Duration,
     /// Spacing of further culprits (`None` = a single culprit).
     pub culprit_every: Option<Duration>,
-    /// Which culprit behaviour to inject.
-    pub culprit_kind: CulpritKind,
+    /// Which scenario family's culprit to inject.
+    pub culprit_kind: ScenarioFamily,
     /// Maximum time a culprit runs if never canceled.
     pub culprit_hold: Duration,
-    /// Pages a Scan culprit sweeps (bounded by `culprit_hold`).
+    /// Pages a buffer-scan culprit sweeps (bounded by `culprit_hold`).
     pub scan_pages: u64,
     /// Interval between a culprit's cancellation checkpoints.
     pub checkpoint: Duration,
@@ -83,11 +83,7 @@ impl LiveConfig {
     /// pre-disturbance misblame.
     pub fn from_scenario(d: &ScenarioDescriptor) -> Self {
         Self {
-            culprit_kind: match d.family {
-                ScenarioFamily::LockHog => CulpritKind::LockHog,
-                ScenarioFamily::BufferScan => CulpritKind::Scan,
-                ScenarioFamily::TicketQueue => CulpritKind::TicketHog,
-            },
+            culprit_kind: d.family,
             workers: d.workers,
             interarrival: Duration::from_micros(d.interarrival_us),
             culprit_after: Duration::from_millis(d.culprit_after_ms),
@@ -117,7 +113,7 @@ impl Default for LiveConfig {
             tickets: 4,
             culprit_after: Duration::from_millis(500),
             culprit_every: None,
-            culprit_kind: CulpritKind::LockHog,
+            culprit_kind: ScenarioFamily::LockHog,
             culprit_hold: Duration::from_millis(1200),
             scan_pages: 1 << 16,
             checkpoint: Duration::from_millis(1),

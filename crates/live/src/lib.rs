@@ -42,8 +42,7 @@ pub use harness::{
 };
 pub use resources::{block_on, AccessStats, Acquire, Gate, LruBuffer, Permit};
 pub use server::{
-    CulpritKind, Request, RequestClass, ServerCore, ServerCtx, ServerMetrics, Shell, TaskScope,
-    WorkQueue,
+    Request, RequestClass, ServerCore, ServerCtx, ServerMetrics, Shell, TaskScope, WorkQueue,
 };
 pub use token::{CancelRegistry, CancelToken, Registry, Signal};
 pub use workload::{generate, CULPRIT_KEY_BASE};

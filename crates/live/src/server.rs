@@ -27,27 +27,12 @@ use std::time::{Duration, Instant};
 use atropos::{AtroposRuntime, TaskId};
 use atropos_metrics::LatencyHistogram;
 use atropos_sim::Clock;
-use atropos_substrate::RuntimePort;
+use atropos_substrate::{RuntimePort, ScenarioFamily};
 use parking_lot::{Condvar, Mutex};
 
 use crate::harness::LiveConfig;
 use crate::resources::{block_on, Gate, LruBuffer};
 use crate::token::{CancelRegistry, CancelToken};
-
-/// Which long-running culprit behaviour a culprit request exhibits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CulpritKind {
-    /// Takes the table lock and sits on it (checkpointing for
-    /// cancellation): the backup/DDL convoy family.
-    LockHog,
-    /// Sweeps the LRU buffer with cold pages, evicting the hot set: the
-    /// full-table-dump family.
-    Scan,
-    /// Drains the ticket queue dry — acquires every concurrency ticket and
-    /// sits on them, starving admission: the connection-pool-exhaustion
-    /// (c2/c9) family.
-    TicketHog,
-}
 
 /// Request classes the load generator produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +40,9 @@ pub enum RequestClass {
     /// A short victim-class request: ticket → brief lock hold → a few hot
     /// pages.
     Normal,
-    /// A rare long-running request that monopolizes a resource.
-    Culprit(CulpritKind),
+    /// A rare long-running request that monopolizes a resource, the way
+    /// its scenario family's culprit does.
+    Culprit(ScenarioFamily),
 }
 
 /// One unit of offered load.
@@ -312,7 +298,7 @@ pub async fn serve<S: Shell>(core: Arc<ServerCore>, mut scope: TaskScope<S>) {
     let (task, key) = (scope.task, scope.req.key);
     match scope.req.class {
         RequestClass::Normal => serve_normal(&core, &scope.shell, task, key).await,
-        RequestClass::Culprit(kind) => serve_culprit(&core, &scope.shell, task, kind).await,
+        RequestClass::Culprit(family) => serve_culprit(&core, &scope.shell, task, family).await,
     }
     scope.finished = true;
 }
@@ -358,18 +344,25 @@ async fn hold(core: &ServerCore, shell: &impl Shell, started: Instant) {
     }
 }
 
-async fn serve_culprit(core: &ServerCore, shell: &impl Shell, task: TaskId, kind: CulpritKind) {
+async fn serve_culprit(
+    core: &ServerCore,
+    shell: &impl Shell,
+    task: TaskId,
+    family: ScenarioFamily,
+) {
     core.metrics.culprit_started(core.clock.now_ns());
     // Barely-started progress: the GetNext signal that makes the policy
     // prefer canceling this task over nearly-done victims.
     core.port.progress(task, 1, 100);
     let started = Instant::now();
-    match kind {
-        CulpritKind::LockHog => {
+    match family {
+        // Take the table lock and sit on it, checkpointing for
+        // cancellation: the backup/DDL convoy.
+        ScenarioFamily::LockHog => {
             let _guard = core.table.acquire(task).await;
             hold(core, shell, started).await;
         }
-        CulpritKind::TicketHog => {
+        ScenarioFamily::TicketQueue => {
             // Take every ticket, one acquire at a time, then camp on the
             // full set. Normal requests need a ticket first, so admission
             // starves until this task is canceled or done.
@@ -379,7 +372,9 @@ async fn serve_culprit(core: &ServerCore, shell: &impl Shell, task: TaskId, kind
             }
             hold(core, shell, started).await;
         }
-        CulpritKind::Scan => {
+        // Sweep the LRU buffer with cold pages, evicting the hot set: the
+        // full-table dump.
+        ScenarioFamily::BufferScan => {
             let _permit = core.tickets.acquire(task).await;
             // Cold range: never hits.
             let cold = core.cfg.hot_pages..core.cfg.hot_pages + core.cfg.scan_pages;

@@ -12,7 +12,8 @@
 
 use std::time::Duration;
 
-use atropos_live::{live_atropos_config, run, ControlMode, CulpritKind, LiveConfig};
+use atropos_live::{live_atropos_config, run, ControlMode, LiveConfig};
+use atropos_substrate::ScenarioFamily;
 
 fn overload_config() -> LiveConfig {
     LiveConfig {
@@ -21,7 +22,7 @@ fn overload_config() -> LiveConfig {
         interarrival: Duration::from_millis(2),
         culprit_after: Duration::from_millis(400),
         culprit_every: None,
-        culprit_kind: CulpritKind::LockHog,
+        culprit_kind: ScenarioFamily::LockHog,
         culprit_hold: Duration::from_millis(1200),
         checkpoint: Duration::from_millis(1),
         tick_period: Duration::from_millis(50),

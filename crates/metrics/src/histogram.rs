@@ -100,18 +100,6 @@ impl LatencyHistogram {
         self.max = self.max.max(value);
     }
 
-    /// Records `n` observations of the same value.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.counts[Self::index_of(value)] += n;
-        self.count += n;
-        self.sum += value as u128 * n as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
     /// Total number of recorded observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -295,27 +283,6 @@ mod tests {
         assert_eq!(a.p99(), all.p99());
         assert_eq!(a.min(), all.min());
         assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record_n(42_000, 10);
-        for _ in 0..10 {
-            b.record(42_000);
-        }
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.sum(), b.sum());
-        assert_eq!(a.p99(), b.p99());
-    }
-
-    #[test]
-    fn record_n_zero_is_noop() {
-        let mut h = LatencyHistogram::new();
-        h.record_n(100, 0);
-        assert!(h.is_empty());
-        assert_eq!(h.min(), 0);
     }
 
     #[test]

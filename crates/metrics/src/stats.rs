@@ -9,16 +9,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation of a slice, or 0 for fewer than 2 samples.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
-    var.sqrt()
-}
-
 /// Percentile (0–100) of an *unsorted* slice by nearest-rank, or 0 if empty.
 pub fn percentile(xs: &[f64], pct: f64) -> f64 {
     if xs.is_empty() {
@@ -67,23 +57,9 @@ impl Ewma {
         self.value
     }
 
-    /// Current average, or `default` before the first observation.
-    pub fn get_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-
     /// Discards all state.
     pub fn reset(&mut self) {
         self.value = None;
-    }
-}
-
-/// Relative change `(b - a) / a`, or 0 when `a` is 0.
-pub fn rel_change(a: f64, b: f64) -> f64 {
-    if a == 0.0 {
-        0.0
-    } else {
-        (b - a) / a
     }
 }
 
@@ -99,18 +75,6 @@ mod tests {
     #[test]
     fn mean_basic() {
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stddev_of_constant_is_zero() {
-        assert_eq!(stddev(&[5.0, 5.0, 5.0]), 0.0);
-    }
-
-    #[test]
-    fn stddev_known_value() {
-        // Population stddev of [2, 4, 4, 4, 5, 5, 7, 9] is 2.
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((stddev(&xs) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -137,7 +101,7 @@ mod tests {
         for _ in 0..50 {
             e.update(100.0);
         }
-        assert!((e.get_or(0.0) - 100.0).abs() < 1e-6);
+        assert!((e.get().unwrap() - 100.0).abs() < 1e-6);
     }
 
     #[test]
@@ -152,13 +116,5 @@ mod tests {
         e.update(7.0);
         e.reset();
         assert_eq!(e.get(), None);
-        assert_eq!(e.get_or(42.0), 42.0);
-    }
-
-    #[test]
-    fn rel_change_handles_zero_base() {
-        assert_eq!(rel_change(0.0, 5.0), 0.0);
-        assert!((rel_change(10.0, 12.0) - 0.2).abs() < 1e-12);
-        assert!((rel_change(10.0, 8.0) + 0.2).abs() < 1e-12);
     }
 }

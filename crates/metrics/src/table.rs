@@ -94,26 +94,6 @@ impl Table {
     }
 }
 
-/// Formats a nanosecond duration with an adaptive unit (`ns`, `µs`, `ms`, `s`).
-pub fn fmt_ns(ns: u64) -> String {
-    match ns {
-        0..=999 => format!("{ns}ns"),
-        1_000..=999_999 => format!("{:.1}µs", ns as f64 / 1e3),
-        1_000_000..=999_999_999 => format!("{:.2}ms", ns as f64 / 1e6),
-        _ => format!("{:.2}s", ns as f64 / 1e9),
-    }
-}
-
-/// Formats a ratio as a percentage with two decimals.
-pub fn fmt_pct(x: f64) -> String {
-    format!("{:.2}%", x * 100.0)
-}
-
-/// Formats a throughput value as kQPS with one decimal.
-pub fn fmt_kqps(qps: f64) -> String {
-    format!("{:.1}k", qps / 1000.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,19 +135,5 @@ mod tests {
         t.row(vec!["1".into()]);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn fmt_ns_picks_units() {
-        assert_eq!(fmt_ns(5), "5ns");
-        assert_eq!(fmt_ns(1_500), "1.5µs");
-        assert_eq!(fmt_ns(2_500_000), "2.50ms");
-        assert_eq!(fmt_ns(3_000_000_000), "3.00s");
-    }
-
-    #[test]
-    fn fmt_pct_and_kqps() {
-        assert_eq!(fmt_pct(0.2512), "25.12%");
-        assert_eq!(fmt_kqps(24_960.0), "25.0k");
     }
 }

@@ -11,7 +11,7 @@
 //! ```
 
 use atropos_scenarios::{
-    all_cases, calibrate, run_atropos_observed, run_with, ControllerKind, RunConfig,
+    all_cases, calibrate, run_atropos_case, run_with, ControllerKind, RunConfig,
 };
 
 fn main() {
@@ -26,14 +26,9 @@ fn main() {
     let results = atropos_scenarios::runner::parallel_map(cases, |case| {
         let baseline = calibrate(&case, &rc);
         let none = run_with(&case, ControllerKind::None, &rc, &baseline);
-        if episodes {
-            let obs = run_atropos_observed(&case, &rc, &baseline);
-            let log = atropos_obs::render_episodes(&obs.episodes);
-            (case.id, baseline, none, obs.result, log)
-        } else {
-            let atr = run_with(&case, ControllerKind::Atropos, &rc, &baseline);
-            (case.id, baseline, none, atr, String::new())
-        }
+        let (atr, run) = run_atropos_case(&case, ControllerKind::Atropos, &rc, &baseline, episodes);
+        let log = atropos_obs::render_episodes(&run.episodes());
+        (case.id, baseline, none, atr, log)
     });
     println!(
         "{:<5} {:>9} {:>8} | {:>6} {:>8} | {:>6} {:>8} {:>7} {:>5} {:>5}",

@@ -11,44 +11,25 @@
 //! Three case families qualify:
 //!
 //! - **lock hog** — c1's backup-behind-scan convoy (a long scan holds the
-//!   table locks; `atropos-live` reproduces it as `CulpritKind::LockHog`),
+//!   table locks; `ScenarioFamily::LockHog` in the live harness),
 //! - **buffer scan** — c5's full-table dump sweeping the buffer pool
-//!   (`CulpritKind::Scan` in the live harness, the paper's Figure 2 bug),
+//!   (`ScenarioFamily::BufferScan` live, the paper's Figure 2 bug),
 //! - **ticket queue** — the c2/c9 shape, scheduled slow queries draining
-//!   the InnoDB concurrency tickets (`CulpritKind::TicketHog` live).
+//!   the InnoDB concurrency tickets (`ScenarioFamily::TicketQueue` live).
 
-use std::sync::Arc;
-
-use atropos::AtroposRuntime;
 use atropos_app::ids::ClassId;
-use atropos_app::server::ServerMetrics;
-use atropos_app::SimServer;
-use atropos_sim::SimTime;
+use atropos_substrate::ScenarioFamily;
 
 use crate::cases::{all_cases, chaos_ticket_queue_case, CaseDef};
-use crate::runner::{calibrate, RunConfig};
-
-/// Which live-harness culprit a chaos variant corresponds to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosCulprit {
-    /// A long-running task sitting on a synchronization resource
-    /// (`atropos_live::CulpritKind::LockHog`).
-    LockHog,
-    /// A cold sweep evicting the hot set of a memory resource
-    /// (`atropos_live::CulpritKind::Scan`).
-    BufferScan,
-    /// A hog draining a bounded ticket queue dry
-    /// (`atropos_live::CulpritKind::TicketHog`).
-    TicketQueue,
-}
+use crate::runner::{calibrate, run_atropos_case, AtroposRun, ControllerKind, RunConfig};
 
 /// One chaos-ready case: the base case plus culprit identity.
 #[derive(Debug, Clone)]
 pub struct ChaosVariant {
     /// The underlying Table 2 case.
     pub case: CaseDef,
-    /// Live-harness culprit analog.
-    pub culprit: ChaosCulprit,
+    /// The scenario family whose culprit this case reproduces.
+    pub culprit: ScenarioFamily,
     /// Workload classes that *are* the culprit: a correct decision trace
     /// cancels only these.
     pub culprit_classes: Vec<ClassId>,
@@ -72,75 +53,40 @@ pub fn chaos_variants() -> Vec<ChaosVariant> {
     vec![
         ChaosVariant {
             case: case("c1"),
-            culprit: ChaosCulprit::LockHog,
+            culprit: ScenarioFamily::LockHog,
             // ClassId(2) = the 3 s table scan, ClassId(3) = the backup it
             // convoys; both are the disturbance, neither is a victim.
             culprit_classes: vec![ClassId(2), ClassId(3)],
         },
         ChaosVariant {
             case: case("c5"),
-            culprit: ChaosCulprit::BufferScan,
+            culprit: ScenarioFamily::BufferScan,
             // ClassId(2) = the full-table dump sweeping the buffer pool.
             culprit_classes: vec![ClassId(2)],
         },
         ChaosVariant {
             case: chaos_ticket_queue_case(),
-            culprit: ChaosCulprit::TicketQueue,
+            culprit: ScenarioFamily::TicketQueue,
             // ClassId(2) = the scheduled slow query pinning a ticket.
             culprit_classes: vec![ClassId(2)],
         },
     ]
 }
 
-/// The variant matching a culprit kind.
-pub fn variant_for(culprit: ChaosCulprit) -> ChaosVariant {
+/// The variant reproducing a scenario family.
+pub fn variant_for(family: ScenarioFamily) -> ChaosVariant {
     chaos_variants()
         .into_iter()
-        .find(|v| v.culprit == culprit)
-        .expect("every culprit kind has a variant")
+        .find(|v| v.culprit == family)
+        .expect("every scenario family has a variant")
 }
 
-/// Result of one seeded chaos-variant run under Atropos.
-pub struct ChaosRun {
-    /// Full server metrics, including the cancellation decision trace
-    /// (`metrics.cancel_log`).
-    pub metrics: ServerMetrics,
-    /// The Atropos runtime, for `debug_snapshot()` inspection.
-    pub runtime: Arc<AtroposRuntime>,
-    /// The SLO the run was calibrated to.
-    pub slo_ns: u64,
-    /// When the disturbance (culprit injection) began.
-    pub disturb_at: SimTime,
-}
-
-/// Runs a chaos variant under Atropos on `seed` and returns the decision
-/// trace alongside the runtime handle.
-///
-/// Uses the quick run configuration (7 s of virtual time): chaos and
-/// differential tests care about decision identity and invariants, not
-/// about figure-grade latency curves.
-pub fn run_variant(variant: &ChaosVariant, seed: u64) -> ChaosRun {
-    let rc = RunConfig::quick(seed);
-    let baseline = calibrate(&variant.case, &rc);
-    let params = rc.case_params();
-    let disturb_at = params.disturb_at;
-    let built = variant.case.build(&params, true);
-    let cfg = atropos::AtroposConfig::default().with_slo_ns(baseline.slo_ns);
-    let handle = Arc::new(parking_lot::Mutex::new(None));
-    let h2 = handle.clone();
-    let metrics = SimServer::new_with(built.server, built.workload, move |clock, groups| {
-        let c = atropos_app::glue::AtroposController::new(cfg, clock, groups, true);
-        *h2.lock() = Some(c.runtime());
-        Box::new(c)
-    })
-    .run(rc.duration, rc.warmup);
-    let runtime = handle.lock().take().expect("controller constructed");
-    ChaosRun {
-        metrics,
-        runtime,
-        slo_ns: baseline.slo_ns,
-        disturb_at,
-    }
+/// Runs a chaos variant under Atropos at `rc`, calibrating it first.
+/// The decision trace is `metrics.cancel_log` of the returned run; the
+/// disturbance begins at `rc.case_params().disturb_at`.
+pub fn run_variant(variant: &ChaosVariant, rc: &RunConfig) -> AtroposRun {
+    let baseline = calibrate(&variant.case, rc);
+    run_atropos_case(&variant.case, ControllerKind::Atropos, rc, &baseline, false).1
 }
 
 #[cfg(test)]
@@ -151,14 +97,14 @@ mod tests {
     fn variants_cover_every_culprit_kind() {
         let vs = chaos_variants();
         assert_eq!(vs.len(), 3);
-        assert!(vs.iter().any(|v| v.culprit == ChaosCulprit::LockHog));
-        assert!(vs.iter().any(|v| v.culprit == ChaosCulprit::BufferScan));
-        assert!(vs.iter().any(|v| v.culprit == ChaosCulprit::TicketQueue));
-        let hog = variant_for(ChaosCulprit::LockHog);
+        assert!(vs.iter().any(|v| v.culprit == ScenarioFamily::LockHog));
+        assert!(vs.iter().any(|v| v.culprit == ScenarioFamily::BufferScan));
+        assert!(vs.iter().any(|v| v.culprit == ScenarioFamily::TicketQueue));
+        let hog = variant_for(ScenarioFamily::LockHog);
         assert_eq!(hog.case.id, "c1");
         assert!(hog.is_culprit_class(ClassId(2)));
         assert!(!hog.is_culprit_class(ClassId(0)));
-        let tq = variant_for(ChaosCulprit::TicketQueue);
+        let tq = variant_for(ScenarioFamily::TicketQueue);
         assert_eq!(tq.case.id, "c2tq");
         assert!(tq.is_culprit_class(ClassId(2)));
     }

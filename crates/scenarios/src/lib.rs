@@ -15,8 +15,8 @@ pub mod experiments;
 pub mod runner;
 
 pub use cases::{all_cases, CaseDef, CaseHints, CaseParams};
-pub use chaos::{chaos_variants, ChaosCulprit, ChaosVariant};
+pub use chaos::{chaos_variants, ChaosVariant};
 pub use runner::{
-    calibrate, run_atropos_observed, run_with, Baseline, CaseResult, ControllerKind, ObservedRun,
-    RunConfig,
+    calibrate, run_atropos, run_atropos_case, run_with, AtroposRun, Baseline, CaseResult,
+    ControllerKind, RunConfig,
 };

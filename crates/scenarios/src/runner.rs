@@ -7,11 +7,11 @@
 //! and the overloaded variant runs under the controller being evaluated.
 //! All reported metrics are normalized against the baseline run.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use atropos::{AtroposConfig, PolicyKind};
-use atropos_app::glue::{AtroposController, OverheadModel};
-use atropos_app::server::SimServer;
+use atropos::{AtroposConfig, AtroposRuntime, PolicyKind};
+use atropos_app::glue::AtroposController;
+use atropos_app::server::{ServerMetrics, SimServer};
 use atropos_app::{Controller, NoControl};
 use atropos_baselines::{
     breakwater::Breakwater,
@@ -23,9 +23,10 @@ use atropos_baselines::{
     seda::Seda,
 };
 use atropos_metrics::{NormalizedSummary, RunSummary};
+use atropos_obs::{DecisionEpisode, MetricsSnapshot, Observer, ResourceNames};
 use atropos_sim::SimTime;
 
-use crate::cases::{CaseDef, CaseHints, CaseParams};
+use crate::cases::{BuiltCase, CaseDef, CaseHints, CaseParams};
 
 /// Which controller a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,11 +98,6 @@ pub struct RunConfig {
     pub load_scale: f64,
     /// SLO latency-increase tolerance over baseline p99 (0.2 = 20%).
     pub slo_threshold: f64,
-    /// Whether Atropos may actually invoke the initiator (disabled to
-    /// isolate tracing overhead in Figure 14).
-    pub cancellation_enabled: bool,
-    /// Tracing-cost model; `None` uses the default.
-    pub overhead: Option<OverheadModel>,
     /// Override for Atropos' minimum interval between cancellations
     /// (the §5.3 aggressiveness/recovery knob); `None` keeps the default.
     pub cancel_min_interval_ns: Option<u64>,
@@ -116,8 +112,6 @@ impl RunConfig {
             warmup: SimTime::from_secs(2),
             load_scale: 1.0,
             slo_threshold: 0.2,
-            cancellation_enabled: true,
-            overhead: None,
             cancel_min_interval_ns: None,
         }
     }
@@ -164,11 +158,7 @@ pub struct CaseResult {
     pub normalized: NormalizedSummary,
 }
 
-fn summarize(
-    label: &str,
-    metrics: &atropos_app::server::ServerMetrics,
-    duration_ns: u64,
-) -> RunSummary {
+fn summarize(label: &str, metrics: &ServerMetrics, duration_ns: u64) -> RunSummary {
     RunSummary::from_histogram(
         label,
         duration_ns,
@@ -178,6 +168,20 @@ fn summarize(
         metrics.retried,
         &metrics.latency,
     )
+}
+
+fn case_result(
+    kind: ControllerKind,
+    metrics: &ServerMetrics,
+    rc: &RunConfig,
+    baseline: &Baseline,
+) -> CaseResult {
+    let summary = summarize(kind.label(), metrics, rc.measured_ns());
+    let normalized = summary.normalized_against(&baseline.summary);
+    CaseResult {
+        summary,
+        normalized,
+    }
 }
 
 /// Runs the undisturbed case under no control and derives the SLO.
@@ -231,136 +235,107 @@ pub fn run_with(
     rc: &RunConfig,
     baseline: &Baseline,
 ) -> CaseResult {
+    if atropos_policy(kind).is_some() {
+        return run_atropos_case(case, kind, rc, baseline, false).0;
+    }
     let built = case.build(&rc.case_params(), true);
-    let metrics = if let Some(policy) = atropos_policy(kind) {
-        let mut cfg = AtroposConfig::default()
-            .with_slo_ns(baseline.slo_ns)
-            .with_policy(policy);
-        if let Some(interval) = rc.cancel_min_interval_ns {
-            cfg.cancel_min_interval_ns = interval;
-        }
-        let enabled = rc.cancellation_enabled;
-        let overhead = rc.overhead;
-        SimServer::new_with(built.server, built.workload, |clock, groups| {
-            let mut c = AtroposController::new(cfg, clock, groups, enabled);
-            if let Some(o) = overhead {
-                c = c.with_overhead(o);
-            }
-            Box::new(c)
+    let controller = build_plain_controller(kind, baseline.slo_ns, &built.hints);
+    let metrics =
+        SimServer::new(built.server, built.workload, controller).run(rc.duration, rc.warmup);
+    case_result(kind, &metrics, rc, baseline)
+}
+
+/// Decision-trace ring size of an observed run: generous, so a
+/// full-length golden run never overwrites.
+const OBSERVER_EVENTS: usize = 32_768;
+
+/// One Atropos run of a built case: what the server measured, the
+/// runtime that decided, and the decision-trace observer if the run was
+/// observed.
+pub struct AtroposRun {
+    /// Full server metrics, including the executed-cancellation log
+    /// (`metrics.cancel_log`).
+    pub metrics: ServerMetrics,
+    /// The Atropos runtime, for stats and `debug_snapshot()` inspection.
+    pub runtime: Arc<AtroposRuntime>,
+    /// The decision-trace observer; `Some` iff the run was observed.
+    observer: Option<Arc<Observer>>,
+}
+
+impl AtroposRun {
+    /// Drains the observer's ring into decision episodes (none for an
+    /// unobserved run).
+    pub fn episodes(&self) -> Vec<DecisionEpisode> {
+        self.observer.as_ref().map_or_else(Vec::new, |obs| {
+            obs.drain_episodes(&ResourceNames::from_snapshot(
+                &self.runtime.debug_snapshot(),
+            ))
         })
-        .run(rc.duration, rc.warmup)
-    } else {
-        let controller = build_plain_controller(kind, baseline.slo_ns, &built.hints);
-        SimServer::new(built.server, built.workload, controller).run(rc.duration, rc.warmup)
-    };
-    let summary = summarize(kind.label(), &metrics, rc.measured_ns());
-    let normalized = summary.normalized_against(&baseline.summary);
-    CaseResult {
-        summary,
-        normalized,
+    }
+
+    /// The observer's metrics snapshot with the runtime's tick-phase
+    /// timer attached (`None` for an unobserved run).
+    pub fn observed_metrics(&self) -> Option<MetricsSnapshot> {
+        let obs = self.observer.as_ref()?;
+        Some(obs.metrics().with_tick_phases(&self.runtime.tick_phases()))
     }
 }
 
-/// Runs the overloaded case under Atropos and returns the runtime handle
-/// alongside the result, for tests and diagnostics that inspect the
-/// estimator's view (which resource was bottlenecked, how many candidate
-/// overloads fired, cancellation counters).
-pub fn run_atropos_with_handle(
+/// Runs a built case under Atropos with `cfg`, on the server's virtual
+/// clock. Every case run builds its controller here.
+///
+/// `observe` installs an [`Observer`] before the first event. Ask for
+/// one only when the run is to be explained: an attached recorder makes
+/// every overloaded tick also rank the candidates it explains
+/// (`PolicyIndex::ranked`), which costs time though it changes no
+/// decision.
+pub fn run_atropos(
+    built: BuiltCase,
+    cfg: AtroposConfig,
+    duration: SimTime,
+    warmup: SimTime,
+    observe: bool,
+) -> AtroposRun {
+    let mut runtime = None;
+    let server = SimServer::new_with(built.server, built.workload, |clock, groups| {
+        let controller = AtroposController::new(cfg, clock, groups, true);
+        runtime = Some(controller.runtime());
+        Box::new(controller)
+    });
+    let runtime = runtime.expect("new_with builds the controller");
+    let observer = observe.then(|| Observer::install(&runtime, OBSERVER_EVENTS));
+    AtroposRun {
+        metrics: server.run(duration, warmup),
+        runtime,
+        observer,
+    }
+}
+
+/// Runs the overloaded case under one of the Atropos kinds: the
+/// baseline's SLO, the kind's policy and `rc.cancel_min_interval_ns`
+/// when set, normalized against `baseline`. Returns the run as well, for
+/// callers that inspect the runtime or the decision trace.
+///
+/// # Panics
+///
+/// If `kind` is not one of the Atropos kinds.
+pub fn run_atropos_case(
     case: &CaseDef,
+    kind: ControllerKind,
     rc: &RunConfig,
     baseline: &Baseline,
-) -> (CaseResult, std::sync::Arc<atropos::AtroposRuntime>) {
-    let built = case.build(&rc.case_params(), true);
-    let cfg = AtroposConfig::default().with_slo_ns(baseline.slo_ns);
-    let handle = std::sync::Arc::new(parking_lot::Mutex::new(None));
-    let h2 = handle.clone();
-    let metrics = SimServer::new_with(built.server, built.workload, move |clock, groups| {
-        let c = AtroposController::new(cfg, clock, groups, true);
-        *h2.lock() = Some(c.runtime());
-        Box::new(c)
-    })
-    .run(rc.duration, rc.warmup);
-    let rt = handle.lock().take().expect("controller constructed");
-    let summary = summarize("Atropos", &metrics, rc.measured_ns());
-    let normalized = summary.normalized_against(&baseline.summary);
-    (
-        CaseResult {
-            summary,
-            normalized,
-        },
-        rt,
-    )
-}
-
-/// An Atropos case run with the decision-trace observer attached: the
-/// normalized result plus everything needed to *explain* the run — the
-/// runtime handle, folded decision episodes, the metrics snapshot, and
-/// the application-side cancel log (who was actually canceled, with
-/// workload-class names resolved).
-pub struct ObservedRun {
-    /// Raw + normalized performance result.
-    pub result: CaseResult,
-    /// The Atropos runtime, for estimator/cancel introspection.
-    pub runtime: std::sync::Arc<atropos::AtroposRuntime>,
-    /// Decision episodes folded from the flight recorder.
-    pub episodes: Vec<atropos_obs::DecisionEpisode>,
-    /// Metrics registry snapshot at the end of the run.
-    pub metrics: atropos_obs::MetricsSnapshot,
-    /// Executed cancellations as `(class name, request id)` in issue order.
-    pub cancel_log: Vec<(String, u64)>,
-}
-
-/// [`run_atropos_with_handle`] with an [`atropos_obs::Observer`]
-/// installed: the same simulation plus a full decision trace. The ring is
-/// sized generously (32768 events) so golden runs never overwrite.
-pub fn run_atropos_observed(case: &CaseDef, rc: &RunConfig, baseline: &Baseline) -> ObservedRun {
-    let built = case.build(&rc.case_params(), true);
-    let class_names: Vec<String> = built
-        .workload
-        .classes
-        .iter()
-        .map(|c| c.name.clone())
-        .collect();
-    let mut cfg = AtroposConfig::default().with_slo_ns(baseline.slo_ns);
+    observe: bool,
+) -> (CaseResult, AtroposRun) {
+    let policy = atropos_policy(kind).expect("an Atropos controller kind");
+    let mut cfg = AtroposConfig::default()
+        .with_slo_ns(baseline.slo_ns)
+        .with_policy(policy);
     if let Some(interval) = rc.cancel_min_interval_ns {
         cfg.cancel_min_interval_ns = interval;
     }
-    let handle = std::sync::Arc::new(parking_lot::Mutex::new(None));
-    let h2 = handle.clone();
-    let metrics = SimServer::new_with(built.server, built.workload, move |clock, groups| {
-        let c = AtroposController::new(cfg, clock, groups, true);
-        let rt = c.runtime();
-        let obs = atropos_obs::Observer::install(&rt, 32_768);
-        *h2.lock() = Some((rt, obs));
-        Box::new(c)
-    })
-    .run(rc.duration, rc.warmup);
-    let (rt, obs) = handle.lock().take().expect("controller constructed");
-    let names = atropos_obs::ResourceNames::from_snapshot(&rt.debug_snapshot());
-    let episodes = obs.drain_episodes(&names);
-    let cancel_log = metrics
-        .cancel_log
-        .iter()
-        .map(|r| {
-            let class = class_names
-                .get(r.class.0 as usize)
-                .cloned()
-                .unwrap_or_else(|| format!("class-{}", r.class.0));
-            (class, r.req.0)
-        })
-        .collect();
-    let summary = summarize("Atropos", &metrics, rc.measured_ns());
-    let normalized = summary.normalized_against(&baseline.summary);
-    ObservedRun {
-        result: CaseResult {
-            summary,
-            normalized,
-        },
-        episodes,
-        metrics: obs.metrics().with_tick_phases(&rt.tick_phases()),
-        runtime: rt,
-        cancel_log,
-    }
+    let built = case.build(&rc.case_params(), true);
+    let run = run_atropos(built, cfg, rc.duration, rc.warmup, observe);
+    (case_result(kind, &run.metrics, rc, baseline), run)
 }
 
 /// Runs `f` over `items` on up to `available_parallelism` worker threads,

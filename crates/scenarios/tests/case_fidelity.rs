@@ -3,16 +3,15 @@
 //! actually issue cancellations — the distinguishing behaviour Table 2
 //! is built to exercise.
 
-use atropos_scenarios::runner::run_atropos_with_handle;
-use atropos_scenarios::{all_cases, calibrate, RunConfig};
+use atropos_scenarios::{all_cases, calibrate, run_atropos_case, ControllerKind, RunConfig};
 
 #[test]
 fn every_case_is_classified_as_resource_overload_and_canceled() {
     let rc = RunConfig::full(7);
     let results = atropos_scenarios::runner::parallel_map(all_cases(), |case| {
         let baseline = calibrate(&case, &rc);
-        let (result, rt) = run_atropos_with_handle(&case, &rc, &baseline);
-        (case.id, result, rt.stats())
+        let (result, run) = run_atropos_case(&case, ControllerKind::Atropos, &rc, &baseline, false);
+        (case.id, result, run.runtime.stats())
     });
     for (id, result, stats) in results {
         assert!(
@@ -70,8 +69,8 @@ fn sampled_cases_bottleneck_the_declared_resource_type() {
         .collect();
     let results = atropos_scenarios::runner::parallel_map(cases, |case| {
         let baseline = calibrate(&case, &rc);
-        let (_, rt) = run_atropos_with_handle(&case, &rc, &baseline);
-        (case.id, rt.stats().overloads_by_type)
+        let (_, run) = run_atropos_case(&case, ControllerKind::Atropos, &rc, &baseline, false);
+        (case.id, run.runtime.stats().overloads_by_type)
     });
     for (id, by_type) in results {
         let allowed = picks

@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 
 use atropos_scenarios::{
-    all_cases, calibrate, run_atropos_observed, runner::parallel_map, RunConfig,
+    all_cases, calibrate, run_atropos_case, runner::parallel_map, ControllerKind, RunConfig,
 };
 use serde::{Deserialize, Serialize};
 
@@ -64,18 +64,31 @@ fn fingerprint(case_idx: usize, seed: u64) -> GoldenEntry {
     let case = &all_cases()[case_idx];
     let rc = RunConfig::quick(seed);
     let baseline = calibrate(case, &rc);
-    let run = run_atropos_observed(case, &rc, &baseline);
+    let (_, run) = run_atropos_case(case, ControllerKind::Atropos, &rc, &baseline, true);
+    let class_names: Vec<String> = case
+        .build(&rc.case_params(), true)
+        .workload
+        .classes
+        .into_iter()
+        .map(|c| c.name)
+        .collect();
+    let cancel_log = &run.metrics.cancel_log;
     GoldenEntry {
         seed,
-        culprit_classes: sorted_dedup(run.cancel_log.iter().map(|(c, _)| c.clone()).collect()),
-        blamed_resources: sorted_dedup(
-            run.episodes
+        culprit_classes: sorted_dedup(
+            cancel_log
                 .iter()
-                .filter(|e| e.culprit_key.is_some())
-                .map(|e| e.resource.clone())
+                .map(|r| class_names[r.class.0 as usize].clone())
                 .collect(),
         ),
-        cancel_bucket: bucket(run.cancel_log.len()),
+        blamed_resources: sorted_dedup(
+            run.episodes()
+                .into_iter()
+                .filter(|e| e.culprit_key.is_some())
+                .map(|e| e.resource)
+                .collect(),
+        ),
+        cancel_bucket: bucket(cancel_log.len()),
     }
 }
 

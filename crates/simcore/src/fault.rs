@@ -97,7 +97,6 @@ impl FaultSite {
 pub struct TickJitter {
     rng: SimRng,
     max_skew_ns: u64,
-    applied: u64,
 }
 
 impl TickJitter {
@@ -106,7 +105,6 @@ impl TickJitter {
         Self {
             rng: root.fork(stream),
             max_skew_ns,
-            applied: 0,
         }
     }
 
@@ -115,7 +113,6 @@ impl TickJitter {
         Self {
             rng: SimRng::new(0),
             max_skew_ns: 0,
-            applied: 0,
         }
     }
 
@@ -124,16 +121,7 @@ impl TickJitter {
         if self.max_skew_ns == 0 {
             return 0;
         }
-        let skew = self.rng.below(self.max_skew_ns + 1);
-        if skew > 0 {
-            self.applied += 1;
-        }
-        skew
-    }
-
-    /// Ticks that received a non-zero skew so far.
-    pub fn skewed_ticks(&self) -> u64 {
-        self.applied
+        self.rng.below(self.max_skew_ns + 1)
     }
 }
 
@@ -201,6 +189,5 @@ mod tests {
         assert!(a.iter().any(|&s| s > 0));
         let mut off = TickJitter::disabled();
         assert_eq!(off.next_skew_ns(), 0);
-        assert_eq!(off.skewed_ticks(), 0);
     }
 }

@@ -2,18 +2,34 @@
 //! generation through the Atropos runtime to cancellation and reporting,
 //! exercised across crates exactly the way the benchmark harness uses it.
 
-use atropos_scenarios::{all_cases, calibrate, run_with, ControllerKind, RunConfig};
+use std::collections::HashMap;
+use std::sync::OnceLock;
+
+use atropos_scenarios::{
+    all_cases, calibrate, run_atropos_case, run_with, Baseline, CaseDef, ControllerKind, RunConfig,
+};
 
 fn rc() -> RunConfig {
     RunConfig::quick(7)
 }
 
+/// The case's baseline at `rc()`, calibrated once per test process: the
+/// tests below share it instead of each calibrating its own cases.
+fn baseline(case: &CaseDef) -> &'static Baseline {
+    static BASELINES: OnceLock<HashMap<&'static str, OnceLock<Baseline>>> = OnceLock::new();
+    BASELINES.get_or_init(|| {
+        all_cases()
+            .iter()
+            .map(|c| (c.id, OnceLock::new()))
+            .collect()
+    })[case.id]
+        .get_or_init(|| calibrate(case, &rc()))
+}
+
 #[test]
 fn every_case_baseline_is_healthy() {
-    let config = rc();
     let results = atropos_scenarios::runner::parallel_map(all_cases(), |case| {
-        let b = calibrate(&case, &config);
-        (case.id, case.base_qps, b)
+        (case.id, case.base_qps, baseline(&case))
     });
     for (id, base_qps, b) in results {
         let tput = b.summary.throughput_qps();
@@ -30,9 +46,9 @@ fn every_case_baseline_is_healthy() {
 fn atropos_mitigates_every_case() {
     let config = rc();
     let results = atropos_scenarios::runner::parallel_map(all_cases(), |case| {
-        let b = calibrate(&case, &config);
-        let none = run_with(&case, ControllerKind::None, &config, &b);
-        let atropos = run_with(&case, ControllerKind::Atropos, &config, &b);
+        let b = baseline(&case);
+        let none = run_with(&case, ControllerKind::None, &config, b);
+        let atropos = run_with(&case, ControllerKind::Atropos, &config, b);
         (case.id, none, atropos)
     });
     for (id, none, atropos) in results {
@@ -90,10 +106,10 @@ fn atropos_beats_every_comparison_system_on_average() {
         .collect();
     let kinds = ControllerKind::comparison_set();
     let results = atropos_scenarios::runner::parallel_map(cases, |case| {
-        let b = calibrate(&case, &config);
+        let b = baseline(&case);
         kinds
             .iter()
-            .map(|&k| run_with(&case, k, &config, &b).normalized.throughput)
+            .map(|&k| run_with(&case, k, &config, b).normalized.throughput)
             .collect::<Vec<_>>()
     });
     let n = results.len() as f64;
@@ -125,9 +141,9 @@ fn policy_ablation_multi_objective_never_loses_badly() {
         .filter(|c| picks.contains(&c.id))
         .collect();
     let results = atropos_scenarios::runner::parallel_map(cases, |case| {
-        let b = calibrate(&case, &config);
-        let multi = run_with(&case, ControllerKind::Atropos, &config, &b);
-        let heur = run_with(&case, ControllerKind::AtroposHeuristic, &config, &b);
+        let b = baseline(&case);
+        let multi = run_with(&case, ControllerKind::Atropos, &config, b);
+        let heur = run_with(&case, ControllerKind::AtroposHeuristic, &config, b);
         (case.id, multi, heur)
     });
     for (id, multi, heur) in results {
@@ -153,9 +169,15 @@ fn metrics_snapshot_is_internally_consistent_across_cases() {
     let config = rc();
     let out_dir = std::env::var("E2E_METRICS_OUT").ok();
     let results = atropos_scenarios::runner::parallel_map(all_cases(), |case| {
-        let b = calibrate(&case, &config);
-        let run = atropos_scenarios::run_atropos_observed(&case, &config, &b);
-        (case.id, run.metrics, run.episodes.len())
+        let (_, run) = run_atropos_case(
+            &case,
+            ControllerKind::Atropos,
+            &config,
+            baseline(&case),
+            true,
+        );
+        let metrics = run.observed_metrics().expect("observed run");
+        (case.id, metrics, run.episodes().len())
     });
     for (id, m, n_episodes) in results {
         let errs = m.consistency_errors();
