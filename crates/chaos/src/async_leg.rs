@@ -26,12 +26,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use atropos_live::{live_atropos_config, ControlMode, LiveReport};
+use atropos_live::{live_atropos_config, ControlMode, LiveConfig, LiveReport};
 use atropos_substrate::ScenarioFamily;
 use parking_lot::Mutex;
 
 use crate::checker::{check_episode_coverage, InvariantChecker, Violation};
-use crate::differential::live_config_for;
 use crate::injector::{FaultInjector, InjectionLog};
 use crate::plan::FaultPlan;
 
@@ -54,7 +53,7 @@ pub struct AsyncLegOutcome {
 /// descriptor compressed in time (same shape, shorter run) so a 128-plan
 /// soak stays affordable.
 pub fn run_async_scenario(family: ScenarioFamily, plan: &FaultPlan) -> AsyncLegOutcome {
-    let mut cfg = live_config_for(&atropos_workload::family_descriptor(family));
+    let mut cfg = LiveConfig::from_scenario(&atropos_workload::family_descriptor(family));
     cfg.run_for = Duration::from_millis(450);
     cfg.culprit_after = Duration::from_millis(120);
     cfg.culprit_hold = Duration::from_millis(250);

@@ -117,13 +117,6 @@ pub fn sim_trace(family: ScenarioFamily, seed: u64) -> DecisionTrace {
     }
 }
 
-/// The live configuration a scenario descriptor pins. Thin alias for
-/// [`LiveConfig::from_scenario`], kept so existing chaos call sites and
-/// docs read naturally.
-pub fn live_config_for(d: &ScenarioDescriptor) -> LiveConfig {
-    LiveConfig::from_scenario(d)
-}
-
 /// Runs a scenario family through the thread harness at its descriptor's
 /// pinned geometry.
 pub fn live_trace_for(family: ScenarioFamily) -> DecisionTrace {
@@ -176,7 +169,7 @@ fn trace_from_report(
 /// decision trace.
 pub fn live_trace(descriptor: &ScenarioDescriptor) -> DecisionTrace {
     let report = run(
-        live_config_for(descriptor),
+        LiveConfig::from_scenario(descriptor),
         ControlMode::Atropos(live_atropos_config()),
     );
     trace_from_report("live", &report, false)
@@ -196,7 +189,7 @@ pub fn async_trace_for(family: ScenarioFamily) -> DecisionTrace {
 pub fn async_trace(descriptor: &ScenarioDescriptor) -> DecisionTrace {
     let plan = FaultPlan::quiet(descriptor.sim_seed);
     let (report, _rt) = atropos_live::run_on::<atropos_async::AsyncServer>(
-        live_config_for(descriptor),
+        LiveConfig::from_scenario(descriptor),
         ControlMode::Atropos(live_atropos_config()),
         move |port| Arc::new(FaultInjector::over(port, &plan)),
     );
@@ -229,15 +222,6 @@ fn check_trace(t: &DecisionTrace) -> Result<(), String> {
         )),
         Some(_) => Ok(()),
     }
-}
-
-/// The differential judgment: both substrates individually satisfy the
-/// decision contract (culprit-only, within tolerance), which makes their
-/// decision traces equal modulo the documented timing tolerance.
-pub fn compare(sim: &DecisionTrace, live: &DecisionTrace) -> Result<(), String> {
-    check_trace(sim)?;
-    check_trace(live)?;
-    Ok(())
 }
 
 /// The three-way judgment: sim, thread, and async substrates each

@@ -143,7 +143,7 @@ fn corrupted_frame_is_rejected_loudly_and_trips_i9() {
 
     let clock = Arc::new(VirtualClock::new());
     let rt = Arc::new(AtroposRuntime::new(
-        atropos_fed::fed_runtime_config(),
+        atropos_chaos::script_config(),
         clock as Arc<dyn atropos_sim::Clock>,
     ));
     let edge = FedEdge::over(NodeId(1), rt);
