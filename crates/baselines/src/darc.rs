@@ -7,7 +7,7 @@
 //! lock or thrashes a cache hurts short requests no matter which worker
 //! they run on.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use atropos_app::controller::{Action, Controller, ServerView};
 use atropos_app::ids::ClassId;
@@ -45,7 +45,8 @@ impl DarcConfig {
 #[derive(Debug)]
 pub struct Darc {
     cfg: DarcConfig,
-    profiles: HashMap<ClassId, Ewma>,
+    /// Ordered, so the limits each tick emits come in class order.
+    profiles: BTreeMap<ClassId, Ewma>,
     limited: HashMap<ClassId, usize>,
 }
 
@@ -54,7 +55,7 @@ impl Darc {
     pub fn new(cfg: DarcConfig) -> Self {
         Self {
             cfg,
-            profiles: HashMap::new(),
+            profiles: BTreeMap::new(),
             limited: HashMap::new(),
         }
     }

@@ -9,7 +9,8 @@
 //! analog of shrinking its core/cache partitions). Like pBox, PARTIES
 //! cannot revoke a lock a culprit already holds.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
 use atropos_app::controller::{Action, Controller, ServerView};
 use atropos_app::ids::{ClientId, PoolId};
@@ -51,9 +52,10 @@ impl PartiesConfig {
 pub struct Parties {
     cfg: PartiesConfig,
     /// Current quota per (client); `None` entry means unconstrained.
-    quotas: HashMap<ClientId, u64>,
+    /// Ordered, so relaxation and every other walk are reproducible.
+    quotas: BTreeMap<ClientId, u64>,
     /// Current throttle level per aggressor client.
-    throttles: HashMap<ClientId, u64>,
+    throttles: BTreeMap<ClientId, u64>,
     adjustments: u64,
     healthy_ticks: u32,
 }
@@ -63,8 +65,8 @@ impl Parties {
     pub fn new(cfg: PartiesConfig) -> Self {
         Self {
             cfg,
-            quotas: HashMap::new(),
-            throttles: HashMap::new(),
+            quotas: BTreeMap::new(),
+            throttles: BTreeMap::new(),
             adjustments: 0,
             healthy_ticks: 0,
         }
@@ -106,15 +108,16 @@ impl Controller for Parties {
         }
         self.healthy_ticks = 0;
         // Aggressor: the client using the most partitionable resources
-        // (pages + heap) that is not itself a victim.
-        let mut usage: HashMap<ClientId, u64> = HashMap::new();
+        // (pages + heap) that is not itself a victim; ties go to the
+        // lowest client id.
+        let mut usage: BTreeMap<ClientId, u64> = BTreeMap::new();
         for r in &view.requests {
             *usage.entry(r.client).or_insert(0) += r.resident_pages + (r.heap_bytes >> 12);
         }
         let aggressor = usage
             .iter()
             .filter(|(c, _)| Some(**c) != victim)
-            .max_by_key(|(_, u)| **u)
+            .max_by_key(|(c, u)| (**u, Reverse(**c)))
             .map(|(c, u)| (*c, *u));
         let Some((aggressor, pages)) = aggressor else {
             return actions;
